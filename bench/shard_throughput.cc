@@ -3,13 +3,15 @@
 // object's epoch bookkeeping — against the naive task-per-object design
 // (one periodic timer per hosted object), at the same per-object check
 // cadence over the same placement; (2) client throughput of a multi-
-// object sharded cluster with the muxes running.
+// object sharded cluster with the muxes running; (3) how that throughput
+// scales with the number of objects each node hosts.
 //
 // The timer comparison runs both designs in-process on the same
 // deterministic simulator, so the event-count ratio is exact and the
 // wall-clock ratio is machine-robust; both are gated as *_speedup in the
-// bench-regression CI job (bench/baseline_shard.json). Absolute
-// throughputs are informational only.
+// bench-regression CI job (bench/baseline_shard.json). The hosted-object
+// scaling ratio is gated the same way: both clusters run in one process,
+// so the machine cancels. Absolute throughputs are informational only.
 //
 // Flags: --quick (smaller object counts, CI rot-prevention lane),
 //        --metrics-json <path> (bench_json schema; "-" for stdout).
@@ -18,6 +20,7 @@
 // RATIO is gated; absolute times are informational), so the
 // sim-time rule does not apply.  // dcp-lint: allow-file(wall-clock)
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -167,6 +170,32 @@ ClusterResult RunShardedCluster(uint32_t objects, uint32_t ops) {
   return r;
 }
 
+/// Wall-clock throughput (ops/s) of `pairs` synchronous write+read pairs
+/// over objects 0..touched-1 on a sharded cluster hosting `objects`
+/// objects. Muxes stay off so the protocol path is all that differs
+/// between object counts. Returns 0 if any operation failed.
+double TouchedObjectsOpsPerSec(uint32_t objects, uint32_t touched,
+                               uint32_t pairs) {
+  shard::ShardedClusterOptions opts;
+  opts.num_nodes = 7;
+  opts.num_objects = objects;
+  opts.replication_factor = 3;
+  opts.seed = 7;
+  opts.initial_value = {0, 0, 0, 0};
+  shard::ShardedCluster cluster(opts);
+
+  auto start = std::chrono::steady_clock::now();
+  for (uint32_t i = 0; i < pairs; ++i) {
+    storage::ObjectId o = i % touched;
+    auto w = cluster.WriteSyncRetry(
+        cluster.RouteCoordinator(o), o,
+        storage::Update::Partial(i % 4, {static_cast<uint8_t>(i)}));
+    auto read = cluster.ReadSyncRetry(cluster.RouteCoordinator(o), o);
+    if (!w.ok() || !read.ok()) return 0;
+  }
+  return 2.0 * pairs / (WallMsSince(start) / 1000.0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -258,6 +287,40 @@ int main(int argc, char** argv) {
   json.Metric("sim_events", double(cr.sim_events));
   json.Metric("mux_checks", double(cr.mux_checks));
   json.Metric("wall_ms", cr.wall_ms);
+
+  // Lock release must cost O(objects an operation touches), not O(objects
+  // a node hosts): the same stream over the same 64 objects, on clusters
+  // hosting 64 and `large` objects. Best of alternating repetitions damps
+  // scheduler noise; the ratio stays near 1 unless the per-operation cost
+  // grows with the hosted count.
+  const uint32_t kTouched = 64;
+  const uint32_t large = quick ? 1024 : 4096;
+  const uint32_t pairs = quick ? 256 : 2000;
+  double small_ops = 0;
+  double large_ops = 0;
+  bool scaling_ok = true;
+  for (int rep = 0; rep < 3; ++rep) {
+    double small = TouchedObjectsOpsPerSec(kTouched, kTouched, pairs);
+    double big = TouchedObjectsOpsPerSec(large, kTouched, pairs);
+    scaling_ok = scaling_ok && small > 0 && big > 0;
+    small_ops = std::max(small_ops, small);
+    large_ops = std::max(large_ops, big);
+  }
+  double scaling = scaling_ok ? large_ops / small_ops : 0;
+  std::printf("\nHosted-object scaling (%u write+read pairs over %u objects):"
+              "\n  %u hosted: %.0f ops/s\n  %u hosted: %.0f ops/s\n"
+              "  hosted_scaling_speedup (%u/%u): %.2f (1.00 = flat)\n",
+              pairs, kTouched, kTouched, small_ops, large, large_ops, large,
+              kTouched, scaling);
+  if (!scaling_ok) {
+    std::fprintf(stderr, "FAIL: hosted-scaling operations failed\n");
+    ok = false;
+  }
+
+  json.Row(quick ? "hosted_scaling_quick" : "hosted_scaling");
+  json.Metric("ops_per_s_small", small_ops);
+  json.Metric("ops_per_s_large", large_ops);
+  json.Metric("hosted_scaling_speedup", scaling);
 
   if (!json_path.empty() && !json.WriteFile(json_path)) return 1;
   return ok ? 0 : 1;

@@ -233,6 +233,13 @@ Status Cluster::CheckEpochInvariants() const {
     return Status::Aborted("cluster not quiescent; invariants undefined "
                            "mid-transaction");
   }
+  for (const auto& n : nodes_) {
+    if (!n->LockIndexConsistent()) {
+      return Status::Internal("node " + std::to_string(n->self()) +
+                              " holds a lock missing from its owner's "
+                              "lock record");
+    }
+  }
   // Group nodes by epoch number (persistent state; crashed nodes count —
   // they will recover with this state).
   std::map<storage::EpochNumber, NodeSet> members;

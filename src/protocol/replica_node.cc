@@ -138,8 +138,7 @@ ReplicaNodeStats ReplicaNode::stats() const {
 void ReplicaNode::Crash() {
   rpc_.AbortAll();
   for (auto& [id, store] : objects_) store.Crash();
-  lock_acquired_at_.clear();
-  op_started_at_.clear();
+  lock_records_.clear();
   propagation_scheduled_ = false;
   propagation_round_active_ = false;
   ++termination_epoch_;
@@ -180,6 +179,8 @@ void ReplicaNode::RelockStaged(const Staged& staged) {
     Status s = it->second.Lock(staged.owner, /*exclusive=*/true);
     assert(s.ok() && "staged footprints must be disjoint");
     (void)s;
+    // Staged locks never expire, so the record's lease fields stay unset.
+    lock_records_[KeyOf(staged.owner)].objects.push_back(object);
   };
   if (staged.action.install_epoch && !staged.action.epoch_scoped) {
     for (auto& [id, store] : objects_) relock(id);
@@ -280,8 +281,8 @@ void ReplicaNode::RestoreFromDisk() {
   durable_->ReserveOperationIds(next_operation_id_);
 }
 
-ReplicaStateTuple ReplicaNode::StateTuple(ObjectId object) const {
-  const storage::ReplicaStore& store = objects_.at(object);
+ReplicaStateTuple ReplicaNode::StateTuple(
+    const storage::ReplicaStore& store) const {
   ReplicaStateTuple t;
   t.node = self_;
   t.version = store.version();
@@ -333,9 +334,9 @@ bool ReplicaNode::LockIsStaged(const LockOwner& owner) const {
   return staged_.count(KeyOf(owner)) > 0;
 }
 
-Status ReplicaNode::TryLock(ObjectId object, const LockOwner& owner,
-                            bool exclusive, rt::Time op_started) {
-  storage::ReplicaStore& store = objects_.at(object);
+Status ReplicaNode::TryLock(ObjectId object, storage::ReplicaStore& store,
+                            const LockOwner& owner, bool exclusive,
+                            rt::Time op_started) {
   Status s = store.Lock(owner, exclusive);
   if (!s.ok()) {
     rt::Time now = runtime()->Now();
@@ -343,9 +344,9 @@ Status ReplicaNode::TryLock(ObjectId object, const LockOwner& owner,
     // coordinator that died between its lock round and 2PC; break it.
     auto expired = [&](const LockOwner& holder) {
       if (!holder.valid() || LockIsStaged(holder)) return false;
-      auto it = lock_acquired_at_.find(KeyOf(holder));
-      return it == lock_acquired_at_.end() ||
-             now - it->second >= options_.lock_lease;
+      auto it = lock_records_.find(KeyOf(holder));
+      return it == lock_records_.end() ||
+             now - it->second.acquired_at >= options_.lock_lease;
     };
     // Wound-wait: an older operation wounds younger, non-staged holders
     // (a holder whose start time is unknown counts as old).
@@ -353,9 +354,11 @@ Status ReplicaNode::TryLock(ObjectId object, const LockOwner& owner,
       if (options_.lock_policy != LockPolicy::kWoundWait) return false;
       if (op_started <= 0) return false;
       if (!holder.valid() || LockIsStaged(holder)) return false;
-      auto it = op_started_at_.find(KeyOf(holder));
-      if (it == op_started_at_.end()) return false;
-      return op_started < it->second;
+      auto it = lock_records_.find(KeyOf(holder));
+      if (it == lock_records_.end() || it->second.op_started <= 0) {
+        return false;
+      }
+      return op_started < it->second.op_started;
     };
     std::vector<LockOwner> evict;
     auto consider = [&](const LockOwner& holder) {
@@ -365,14 +368,19 @@ Status ReplicaNode::TryLock(ObjectId object, const LockOwner& owner,
     consider(store.exclusive_owner());
     for (const LockOwner& holder : store.shared_owners()) consider(holder);
     for (const LockOwner& victim : evict) {
-      store.Unlock(victim);
+      ReleaseLock(object, store, victim);
       counters_.lock_steals->Increment();
     }
     if (!evict.empty()) s = store.Lock(owner, exclusive);
   }
   if (s.ok()) {
-    lock_acquired_at_[KeyOf(owner)] = runtime()->Now();
-    if (op_started > 0) op_started_at_[KeyOf(owner)] = op_started;
+    OwnerLocks& record = lock_records_[KeyOf(owner)];
+    record.acquired_at = runtime()->Now();
+    if (op_started > 0) record.op_started = op_started;
+    if (std::find(record.objects.begin(), record.objects.end(), object) ==
+        record.objects.end()) {
+      record.objects.push_back(object);
+    }
     counters_.locks_granted->Increment();
   } else {
     counters_.lock_conflicts->Increment();
@@ -380,10 +388,39 @@ Status ReplicaNode::TryLock(ObjectId object, const LockOwner& owner,
   return s;
 }
 
+void ReplicaNode::ReleaseLock(ObjectId object, storage::ReplicaStore& store,
+                              const LockOwner& owner) {
+  store.Unlock(owner);
+  auto it = lock_records_.find(KeyOf(owner));
+  if (it == lock_records_.end()) return;
+  std::erase(it->second.objects, object);
+  if (it->second.objects.empty()) lock_records_.erase(it);
+}
+
 void ReplicaNode::UnlockEverywhere(const LockOwner& owner) {
-  for (auto& [id, store] : objects_) store.Unlock(owner);
-  lock_acquired_at_.erase(KeyOf(owner));
-  op_started_at_.erase(KeyOf(owner));
+  auto it = lock_records_.find(KeyOf(owner));
+  if (it == lock_records_.end()) return;
+  for (ObjectId object : it->second.objects) {
+    objects_.at(object).Unlock(owner);
+  }
+  lock_records_.erase(it);
+}
+
+bool ReplicaNode::LockIndexConsistent() const {
+  auto recorded = [this](ObjectId object, const LockOwner& holder) {
+    auto it = lock_records_.find(KeyOf(holder));
+    return it != lock_records_.end() &&
+           std::find(it->second.objects.begin(), it->second.objects.end(),
+                     object) != it->second.objects.end();
+  };
+  for (const auto& [id, store] : objects_) {
+    const LockOwner& excl = store.exclusive_owner();
+    if (excl.valid() && !recorded(id, excl)) return false;
+    for (const LockOwner& holder : store.shared_owners()) {
+      if (!recorded(id, holder)) return false;
+    }
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -443,14 +480,13 @@ Result<PayloadPtr> ReplicaNode::HandleRequest(NodeId from,
 
 Result<PayloadPtr> ReplicaNode::HandleLock(NodeId /*from*/,
                                            const LockRequest& req) {
-  if (objects_.count(req.object) == 0) {
-    return Status::NotFound("no such object");
-  }
-  Status s = TryLock(req.object, req.owner,
+  auto it = objects_.find(req.object);
+  if (it == objects_.end()) return Status::NotFound("no such object");
+  Status s = TryLock(req.object, it->second, req.owner,
                      req.mode == LockMode::kExclusive, req.op_started);
   if (!s.ok()) return s;
   auto resp = std::make_shared<LockResponse>();
-  resp->state = StateTuple(req.object);
+  resp->state = StateTuple(it->second);
   if (options_.mutation_hooks.skip_relock_staged &&
       req.mode == LockMode::kShared) {
     // Count grants that the relock defense would have refused: a shared
@@ -487,10 +523,9 @@ Result<PayloadPtr> ReplicaNode::HandleUnlock(const UnlockRequest& req) {
 }
 
 Result<PayloadPtr> ReplicaNode::HandleFetch(const FetchRequest& req) {
-  if (objects_.count(req.object) == 0) {
-    return Status::NotFound("no such object");
-  }
-  const storage::ReplicaStore& store = objects_.at(req.object);
+  auto it = objects_.find(req.object);
+  if (it == objects_.end()) return Status::NotFound("no such object");
+  const storage::ReplicaStore& store = it->second;
   if (!store.HoldsLock(req.owner)) {
     return Status::Conflict("fetch without lock (lease stolen?)");
   }
@@ -524,14 +559,15 @@ Result<PayloadPtr> ReplicaNode::HandlePrepare(const PrepareRequest& req) {
   // release what this attempt acquired and refuse.
   std::vector<ObjectId> newly_locked;
   for (ObjectId object : footprint) {
-    if (objects_.count(object) == 0) {
+    auto it = objects_.find(object);
+    if (it == objects_.end()) {
       return Status::NotFound("prepare names unknown object");
     }
-    bool held_before = objects_.at(object).HoldsLock(req.owner);
-    Status s = TryLock(object, req.owner, /*exclusive=*/true);
+    bool held_before = it->second.HoldsLock(req.owner);
+    Status s = TryLock(object, it->second, req.owner, /*exclusive=*/true);
     if (!s.ok()) {
       for (ObjectId locked : newly_locked) {
-        objects_.at(locked).Unlock(req.owner);
+        ReleaseLock(locked, objects_.at(locked), req.owner);
       }
       return s;
     }
@@ -977,10 +1013,9 @@ void ReplicaNode::OfferPropagation(ObjectId object, NodeId target) {
 Result<PayloadPtr> ReplicaNode::HandlePropOffer(NodeId from,
                                                 const PropagationOffer& req) {
   auto reply = std::make_shared<PropagationOfferReply>();
-  if (objects_.count(req.object) == 0) {
-    return Status::NotFound("no such object");
-  }
-  storage::ReplicaStore& store = objects_.at(req.object);
+  auto it = objects_.find(req.object);
+  if (it == objects_.end()) return Status::NotFound("no such object");
+  storage::ReplicaStore& store = it->second;
   if (store.locked_for_propagation()) {
     reply->verdict = PropagationVerdict::kAlreadyRecovering;
     return PayloadPtr(std::move(reply));
@@ -992,7 +1027,7 @@ Result<PayloadPtr> ReplicaNode::HandlePropOffer(NodeId from,
     return PayloadPtr(std::move(reply));
   }
   LockOwner owner{from, req.transfer_id};
-  Status s = TryLock(req.object, owner, /*exclusive=*/true);
+  Status s = TryLock(req.object, store, owner, /*exclusive=*/true);
   if (!s.ok()) {
     // Replica busy (a write holds the lock): have the source retry later.
     reply->verdict = PropagationVerdict::kAlreadyRecovering;
@@ -1010,8 +1045,7 @@ Result<PayloadPtr> ReplicaNode::HandlePropOffer(NodeId from,
     storage::ReplicaStore& st = objects_.at(object);
     if (st.locked_for_propagation() && st.HoldsLock(owner)) {
       st.set_locked_for_propagation(false);
-      st.Unlock(owner);
-      lock_acquired_at_.erase(KeyOf(owner));
+      ReleaseLock(object, st, owner);
     }
   });
   reply->verdict = PropagationVerdict::kPermitted;
@@ -1021,18 +1055,16 @@ Result<PayloadPtr> ReplicaNode::HandlePropOffer(NodeId from,
 
 Result<PayloadPtr> ReplicaNode::HandlePropData(NodeId from,
                                                const PropagationData& req) {
-  if (objects_.count(req.object) == 0) {
-    return Status::NotFound("no such object");
-  }
-  storage::ReplicaStore& store = objects_.at(req.object);
+  auto it = objects_.find(req.object);
+  if (it == objects_.end()) return Status::NotFound("no such object");
+  storage::ReplicaStore& store = it->second;
   LockOwner owner{from, req.transfer_id};
   if (!store.locked_for_propagation() || !store.HoldsLock(owner)) {
     return Status::Conflict("no propagation in progress for this transfer");
   }
-  auto release = [this, &store, &owner] {
+  auto release = [this, &store, &owner, &req] {
     store.set_locked_for_propagation(false);
-    store.Unlock(owner);
-    lock_acquired_at_.erase(KeyOf(owner));
+    ReleaseLock(req.object, store, owner);
   };
 
   if (req.snapshot) {

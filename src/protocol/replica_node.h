@@ -229,9 +229,6 @@ class ReplicaNode : public net::RpcService {
     return id;
   }
 
-  /// The state tuple for one object, as reported in lock replies.
-  ReplicaStateTuple StateTuple(ObjectId object = 0) const;
-
   // --- 2PC coordinator-side bookkeeping (used by TwoPhaseCoordinator) ---
 
   /// Marks a transaction this node coordinates as in flight, so outcome
@@ -267,6 +264,13 @@ class ReplicaNode : public net::RpcService {
   /// The durable engine, or nullptr with durability off.
   store::DurableStore* durable_store() { return durable_.get(); }
 
+  /// True iff every lock held in any hosted store is listed in its
+  /// owner's lock record. Holds at all times; the invariant checkers
+  /// assert it at quiescence.
+  bool LockIndexConsistent() const;
+  /// Owners that currently have a lock record at this node.
+  size_t lock_record_count() const { return lock_records_.size(); }
+
   // net::RpcService:
   [[nodiscard]]
   Result<net::PayloadPtr> HandleRequest(NodeId from, const std::string& type,
@@ -291,6 +295,19 @@ class ReplicaNode : public net::RpcService {
     NodeSet participants;
   };
 
+  /// Volatile per-owner lock record. `objects` is a superset of the
+  /// objects the owner holds a lock on here (an unlock of a lock not held
+  /// is a no-op), so releasing an owner costs O(objects it locked), not
+  /// O(objects hosted).
+  struct OwnerLocks {
+    rt::Time acquired_at = 0;  ///< Last grant; starts the lock lease.
+    rt::Time op_started = 0;   ///< Wound-wait priority; 0 = unknown.
+    std::vector<ObjectId> objects;
+  };
+
+  /// The state tuple of one hosted replica, as reported in lock replies.
+  ReplicaStateTuple StateTuple(const storage::ReplicaStore& store) const;
+
   /// Shared tail of both constructors (service registration, durability,
   /// counter caching).
   void InitCommon();
@@ -313,13 +330,20 @@ class ReplicaNode : public net::RpcService {
   [[nodiscard]] Result<net::PayloadPtr> HandlePropData(NodeId from,
                                          const PropagationData& req);
 
-  /// Lock one object with lease-stealing of expired, non-staged locks.
-  /// Under LockPolicy::kWoundWait, `op_started` (when > 0) lets an older
-  /// requester wound younger non-staged holders.
+  /// Lock one object (`store` is its replica) with lease-stealing of
+  /// expired, non-staged locks. Under LockPolicy::kWoundWait,
+  /// `op_started` (when > 0) lets an older requester wound younger
+  /// non-staged holders.
   [[nodiscard]]
-  Status TryLock(ObjectId object, const LockOwner& owner, bool exclusive,
+  Status TryLock(ObjectId object, storage::ReplicaStore& store,
+                 const LockOwner& owner, bool exclusive,
                  rt::Time op_started = 0);
   bool LockIsStaged(const LockOwner& owner) const;
+  /// Releases `owner`'s lock on one object and drops the object from the
+  /// owner's record (and the record itself once it lists nothing).
+  void ReleaseLock(ObjectId object, storage::ReplicaStore& store,
+                   const LockOwner& owner);
+  /// Releases every lock `owner` holds at this node.
   void UnlockEverywhere(const LockOwner& owner);
 
   void RecordOutcome(const LockOwner& tx, TxOutcome outcome);
@@ -398,8 +422,7 @@ class ReplicaNode : public net::RpcService {
   std::map<ObjectId, NodeSet> pending_propagation_;
 
   // Volatile.
-  std::map<TxKey, rt::Time> lock_acquired_at_;
-  std::map<TxKey, rt::Time> op_started_at_;  ///< Wound-wait priorities.
+  std::map<TxKey, OwnerLocks> lock_records_;
   bool propagation_scheduled_ = false;
   bool propagation_round_active_ = false;
   uint64_t termination_epoch_ = 0;  ///< Invalidates stale timers.

@@ -266,6 +266,13 @@ Status ShardedCluster::CheckEpochInvariants() const {
     return Status::Aborted("cluster not quiescent; invariants undefined "
                            "mid-transaction");
   }
+  for (const auto& n : nodes_) {
+    if (!n->LockIndexConsistent()) {
+      return Status::Internal("node " + std::to_string(n->self()) +
+                              " holds a lock missing from its owner's "
+                              "lock record");
+    }
+  }
   for (storage::ObjectId object = 0; object < options_.num_objects;
        ++object) {
     const NodeSet& home = table_.placement(object).replicas;
