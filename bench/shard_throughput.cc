@@ -30,9 +30,9 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "protocol/cluster.h"
+#include "protocol/placement.h"
 #include "runtime/runtime.h"
-#include "shard/placement.h"
-#include "shard/sharded_cluster.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -56,12 +56,12 @@ struct TimerLoadResult {
 /// over `nodes` — both designs drive the identical assignment.
 std::vector<std::vector<storage::ObjectId>> HostedLists(uint32_t nodes,
                                                         uint32_t objects) {
-  shard::PlacementOptions p;
+  protocol::PlacementOptions p;
   p.num_nodes = nodes;
   p.num_objects = objects;
   p.replication_factor = 3;
   p.seed = 99;
-  shard::ObjectTable table(p);
+  protocol::ObjectTable table(p);
   std::vector<std::vector<storage::ObjectId>> hosted(nodes);
   for (storage::ObjectId o = 0; o < objects; ++o) {
     for (NodeId n : table.placement(o).replicas) hosted[n].push_back(o);
@@ -94,7 +94,7 @@ TimerLoadResult RunTaskPerObject(
   return r;
 }
 
-/// Multiplexed design (shard::EpochMux's schedule): ONE timer per node,
+/// Multiplexed design (protocol::EpochMux's schedule): ONE timer per node,
 /// ticking at period / ceil(hosted / batch) and advancing a round-robin
 /// cursor by `batch` objects per tick — every object is still visited
 /// once per `period`.
@@ -129,6 +129,19 @@ TimerLoadResult RunMultiplexed(
   return r;
 }
 
+/// A 7-node sharded cluster of `objects` objects at replication factor 3.
+protocol::ClusterOptions ShardedOptions(uint32_t objects) {
+  protocol::ClusterOptions opts;
+  opts.num_nodes = 7;
+  opts.num_objects = objects;
+  opts.sharded = true;
+  opts.replication_factor = 3;
+  opts.coterie = protocol::CoterieKind::kMajority;
+  opts.seed = 7;
+  opts.initial_value = {0, 0, 0, 0};
+  return opts;
+}
+
 struct ClusterResult {
   uint64_t ops = 0;
   uint64_t sim_events = 0;
@@ -139,16 +152,11 @@ struct ClusterResult {
 
 /// Client throughput of a live sharded cluster (muxes on): synchronous
 /// write+read pairs round-robin over every object.
-ClusterResult RunShardedCluster(uint32_t objects, uint32_t ops) {
-  shard::ShardedClusterOptions opts;
-  opts.num_nodes = 7;
-  opts.num_objects = objects;
-  opts.replication_factor = 3;
-  opts.seed = 7;
-  opts.initial_value = {0, 0, 0, 0};
-  opts.start_epoch_muxes = true;
-  opts.mux_options.check_interval = 500;
-  shard::ShardedCluster cluster(opts);
+ClusterResult RunLiveCluster(uint32_t objects, uint32_t ops) {
+  protocol::ClusterOptions opts = ShardedOptions(objects);
+  opts.start_epoch_daemons = true;
+  opts.daemon_options.check_interval = 500;
+  protocol::Cluster cluster(opts);
 
   ClusterResult r;
   auto start = std::chrono::steady_clock::now();
@@ -156,16 +164,19 @@ ClusterResult RunShardedCluster(uint32_t objects, uint32_t ops) {
     storage::ObjectId o = static_cast<storage::ObjectId>(i % objects);
     auto w = cluster.WriteSyncRetry(
         cluster.RouteCoordinator(o), o,
-        storage::Update::Partial(i % 4, {static_cast<uint8_t>(i)}));
+        storage::Update::Partial(i % 4, {static_cast<uint8_t>(i)}), 10);
     if (w.ok()) ++r.ops;
-    auto read = cluster.ReadSyncRetry(cluster.RouteCoordinator(o), o);
+    auto read = cluster.ReadSyncRetry(cluster.RouteCoordinator(o), o, 10);
     if (read.ok()) ++r.ops;
   }
   r.wall_ms = WallMsSince(start);
   r.sim_events = cluster.simulator().events_executed();
   r.sim_time = cluster.simulator().Now();
   for (NodeId n = 0; n < opts.num_nodes; ++n) {
-    r.mux_checks += cluster.mux(n).stats().checks_run;
+    r.mux_checks += cluster.metrics()
+                        .counter("shard.mux." + std::to_string(n) +
+                                 ".checks_run")
+                        ->value();
   }
   return r;
 }
@@ -176,21 +187,15 @@ ClusterResult RunShardedCluster(uint32_t objects, uint32_t ops) {
 /// between object counts. Returns 0 if any operation failed.
 double TouchedObjectsOpsPerSec(uint32_t objects, uint32_t touched,
                                uint32_t pairs) {
-  shard::ShardedClusterOptions opts;
-  opts.num_nodes = 7;
-  opts.num_objects = objects;
-  opts.replication_factor = 3;
-  opts.seed = 7;
-  opts.initial_value = {0, 0, 0, 0};
-  shard::ShardedCluster cluster(opts);
+  protocol::Cluster cluster(ShardedOptions(objects));
 
   auto start = std::chrono::steady_clock::now();
   for (uint32_t i = 0; i < pairs; ++i) {
     storage::ObjectId o = i % touched;
     auto w = cluster.WriteSyncRetry(
         cluster.RouteCoordinator(o), o,
-        storage::Update::Partial(i % 4, {static_cast<uint8_t>(i)}));
-    auto read = cluster.ReadSyncRetry(cluster.RouteCoordinator(o), o);
+        storage::Update::Partial(i % 4, {static_cast<uint8_t>(i)}), 10);
+    auto read = cluster.ReadSyncRetry(cluster.RouteCoordinator(o), o, 10);
     if (!w.ok() || !read.ok()) return 0;
   }
   return 2.0 * pairs / (WallMsSince(start) / 1000.0);
@@ -270,7 +275,7 @@ int main(int argc, char** argv) {
 
   const uint32_t cluster_objects = quick ? 16 : 64;
   const uint32_t cluster_ops = quick ? 64 : 256;
-  ClusterResult cr = RunShardedCluster(cluster_objects, cluster_ops);
+  ClusterResult cr = RunLiveCluster(cluster_objects, cluster_ops);
   std::printf("\nSharded cluster (7 nodes, %u objects, muxes on): "
               "%" PRIu64 "/%u ops committed, %" PRIu64 " sim events, "
               "%" PRIu64 " mux checks, %.1f wall ms\n",

@@ -112,7 +112,8 @@ RowResult RunConfig(const Config& cfg) {
 
     if (i % 4 == 3) {
       t0 = Clock::now();
-      auto r = cluster.ReadSync((coordinator + 1) % cfg.num_nodes);
+      auto r = cluster.ReadSyncRetry((coordinator + 1) % cfg.num_nodes, 0,
+                                     /*max_attempts=*/20);
       if (!r.ok()) {
         std::fprintf(stderr, "read %d failed: %s\n", i,
                      r.status().ToString().c_str());

@@ -1,8 +1,8 @@
 #include "harness/socket_cluster.h"
 
+#include <algorithm>
 #include <chrono>
 #include <future>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -37,6 +37,19 @@ T AwaitOr(std::future<T> future, rt::Time timeout_ms, T on_timeout) {
   return future.get();
 }
 
+/// Repeats `attempt()` while it fails with a lock conflict, up to
+/// `max_attempts` times, sleeping 5 ms x attempt in between.
+template <typename T, typename Attempt>
+T RetryOnConflict(int max_attempts, Attempt attempt) {
+  T result = Status::InvalidArgument("max_attempts must be >= 1");
+  for (int i = 1; i <= max_attempts; ++i) {
+    result = attempt();
+    if (result.ok() || !result.status().IsConflict()) return result;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5L * i));
+  }
+  return result;
+}
+
 }  // namespace
 
 SocketCluster::SocketCluster(SocketClusterOptions options)
@@ -49,30 +62,14 @@ SocketCluster::SocketCluster(SocketClusterOptions options)
   nodes_.reserve(options_.num_nodes);
 
   if (options_.sharded) {
-    shard::PlacementOptions p;
-    p.num_nodes = options_.num_nodes;
-    p.num_objects = std::max<uint32_t>(options_.num_objects, 1);
-    p.replication_factor = options_.replication_factor;
-    p.seed = options_.placement_seed;
-    table_ = std::make_unique<shard::ObjectTable>(p);
-    std::map<storage::ObjectId, NodeSet> directory;
-    for (storage::ObjectId o = 0; o < p.num_objects; ++o) {
-      directory[o] = table_->placement(o).replicas;
-    }
+    table_ = std::make_unique<protocol::ObjectTable>(protocol::PlacementOptions{
+        options_.num_nodes, std::max<uint32_t>(options_.num_objects, 1),
+        options_.replication_factor, options_.placement_seed});
     for (uint32_t i = 0; i < options_.num_nodes; ++i) {
-      std::vector<protocol::HostedObjectSpec> catalog;
-      for (storage::ObjectId o = 0; o < p.num_objects; ++o) {
-        if (!table_->placement(o).replicas.Contains(i)) continue;
-        protocol::HostedObjectSpec spec;
-        spec.id = o;
-        spec.home = table_->placement(o).replicas;
-        spec.rule = rule_.get();
-        spec.initial_value = value;
-        catalog.push_back(std::move(spec));
-      }
+      protocol::NodeCatalog catalog = table_->Catalog(i, value);
       nodes_.push_back(std::make_unique<protocol::ReplicaNode>(
-          &transport_, NodeId{i}, all, rule_.get(), std::move(catalog),
-          directory, options_.node_options));
+          &transport_, NodeId{i}, all, rule_.get(), std::move(catalog.hosted),
+          std::move(catalog.directory), options_.node_options));
     }
     return;
   }
@@ -169,15 +166,15 @@ Result<WriteOutcome> SocketCluster::WriteSyncRetry(NodeId coordinator,
                                                    storage::ObjectId object,
                                                    storage::Update update,
                                                    int max_attempts) {
-  Result<WriteOutcome> result =
-      Status::InvalidArgument("max_attempts must be >= 1");
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    result = WriteSync(coordinator, object, update);
-    if (result.ok() || !result.status().IsConflict()) return result;
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(5L * attempt));
-  }
-  return result;
+  return RetryOnConflict<Result<WriteOutcome>>(
+      max_attempts, [&] { return WriteSync(coordinator, object, update); });
+}
+
+Result<ReadOutcome> SocketCluster::ReadSyncRetry(NodeId coordinator,
+                                                 storage::ObjectId object,
+                                                 int max_attempts) {
+  return RetryOnConflict<Result<ReadOutcome>>(
+      max_attempts, [&] { return ReadSync(coordinator, object); });
 }
 
 }  // namespace dcp::harness

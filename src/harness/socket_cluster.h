@@ -8,9 +8,9 @@
 #include "coterie/coterie.h"
 #include "protocol/cluster.h"
 #include "protocol/operations.h"
+#include "protocol/placement.h"
 #include "protocol/replica_node.h"
 #include "runtime/socket_transport.h"
-#include "shard/placement.h"
 #include "util/result.h"
 
 namespace dcp::harness {
@@ -20,7 +20,7 @@ struct SocketClusterOptions {
   /// Data items in the replica group (all share one epoch).
   uint32_t num_objects = 1;
   /// Sharded deployment: place each object onto a `replication_factor`
-  /// subset of the pool (shard::ObjectTable, seeded by `placement_seed`)
+  /// subset of the pool (protocol::ObjectTable, seeded by `placement_seed`)
   /// and give it its own epoch lineage. Write/Read route the same; epoch
   /// checks must be per-object (CheckObjectEpochSync).
   bool sharded = false;
@@ -104,20 +104,23 @@ class SocketCluster {
                                             storage::ObjectId object);
 
   /// The placement table of a sharded deployment; null in group mode.
-  [[nodiscard]] const shard::ObjectTable* table() const {
+  [[nodiscard]] const protocol::ObjectTable* table() const {
     return table_.get();
   }
 
-  /// WriteSync with bounded retries on lock conflicts (linear real-time
-  /// backoff) — the socket-side analogue of Cluster::WriteSyncRetry.
+  /// WriteSync / ReadSync with bounded retries on lock conflicts (linear
+  /// real-time backoff) — the socket-side analogues of
+  /// Cluster::WriteSyncRetry / ReadSyncRetry.
   [[nodiscard]] Result<protocol::WriteOutcome> WriteSyncRetry(
       NodeId coordinator, storage::ObjectId object, storage::Update update,
       int max_attempts = 10);
+  [[nodiscard]] Result<protocol::ReadOutcome> ReadSyncRetry(
+      NodeId coordinator, storage::ObjectId object, int max_attempts = 10);
 
  private:
   SocketClusterOptions options_;
   std::unique_ptr<coterie::CoterieRule> rule_;
-  std::unique_ptr<shard::ObjectTable> table_;  ///< Sharded mode only.
+  std::unique_ptr<protocol::ObjectTable> table_;  ///< Sharded mode only.
   rt::SocketTransport transport_;
   std::vector<std::unique_ptr<protocol::ReplicaNode>> nodes_;
 };

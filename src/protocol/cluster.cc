@@ -1,6 +1,7 @@
 #include "protocol/cluster.h"
 
-#include <cassert>
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -35,20 +36,26 @@ std::unique_ptr<coterie::CoterieRule> MakeCoterieRule(CoterieKind kind) {
 }
 
 Cluster::Cluster(ClusterOptions options)
-    // Stream root: THE root — every other stream in a simulation forks
-    // (directly or lazily) from this seed.  // dcp-lint: allow(raw-rng)
-    : options_(std::move(options)), rng_(options_.seed) {
+    : options_(std::move(options)),
+      // Stream root: THE root — every other stream in a simulation forks
+      // (directly or lazily) from this seed.  // dcp-lint: allow(raw-rng)
+      rng_(options_.seed),
+      all_(NodeSet::Universe(options_.num_nodes)),
+      num_objects_(std::max(1u, options_.num_objects)) {
   if (options_.enable_tracing) sim_.tracer().set_enabled(true);
+  if (options_.sharded) {
+    // The placement draws from its own root seeded like the cluster's, so
+    // it never perturbs the cluster stream.
+    table_ = std::make_unique<ObjectTable>(
+        PlacementOptions{options_.num_nodes, num_objects_,
+                         options_.replication_factor, options_.seed});
+  }
   rule_ = MakeCoterieRule(options_.coterie);
   network_ = std::make_unique<net::Network>(&sim_, rng_.Fork(),
                                             options_.latency);
   if (!options_.fault_model.trivial()) {
     network_->set_fault_model(options_.fault_model);
   }
-  NodeSet all = NodeSet::Universe(options_.num_nodes);
-  uint32_t objects = std::max(1u, options_.num_objects);
-  std::vector<std::vector<uint8_t>> initial_values(objects,
-                                                   options_.initial_value);
   nodes_.reserve(options_.num_nodes);
   for (uint32_t i = 0; i < options_.num_nodes; ++i) {
     ReplicaNodeOptions node_options = options_.node_options;
@@ -59,19 +66,54 @@ Cluster::Cluster(ClusterOptions options)
       node_options.durability.crash.seed =
           options_.seed ^ (0x9E3779B97F4A7C15ull * (i + 1));
     }
-    nodes_.push_back(std::make_unique<ReplicaNode>(
-        network_.get(), i, all, rule_.get(), initial_values, node_options));
+    if (table_) {
+      NodeCatalog catalog = table_->Catalog(i, options_.initial_value);
+      nodes_.push_back(std::make_unique<ReplicaNode>(
+          network_.get(), i, all_, rule_.get(), std::move(catalog.hosted),
+          std::move(catalog.directory), node_options));
+    } else {
+      nodes_.push_back(std::make_unique<ReplicaNode>(
+          network_.get(), i, all_, rule_.get(),
+          std::vector<std::vector<uint8_t>>(num_objects_,
+                                            options_.initial_value),
+          node_options));
+    }
   }
-  if (options_.start_epoch_daemons) {
-    daemons_.reserve(options_.num_nodes);
-    for (uint32_t i = 0; i < options_.num_nodes; ++i) {
+  if (!options_.start_epoch_daemons) return;
+  for (uint32_t i = 0; i < options_.num_nodes; ++i) {
+    if (!table_) {
       daemons_.push_back(std::make_unique<EpochDaemon>(
           nodes_[i].get(), options_.daemon_options));
+      continue;
     }
+    std::vector<std::pair<storage::ObjectId, std::vector<NodeId>>> ranked;
+    for (storage::ObjectId o : nodes_[i]->HostedObjects()) {
+      ranked.push_back({o, table_->placement(o).ranking});
+    }
+    muxes_.push_back(std::make_unique<EpochMux>(
+        nodes_[i].get(), std::move(ranked),
+        options_.daemon_options.check_interval));
   }
 }
 
 Cluster::~Cluster() = default;
+
+NodeId Cluster::RouteCoordinator(storage::ObjectId object) {
+  const NodeSet& home = HomeNodes(object);
+  NodeSet live_home;
+  for (NodeId n : home) {
+    if (network_->IsUp(n)) live_home.Insert(n);
+  }
+  if (!live_home.Empty()) {
+    return live_home.NthMember(
+        static_cast<uint32_t>(rng_.Uniform(live_home.Size())));
+  }
+  NodeSet live = UpNodes();
+  if (!live.Empty()) {
+    return live.NthMember(static_cast<uint32_t>(rng_.Uniform(live.Size())));
+  }
+  return home.NthMember(0);
+}
 
 void Cluster::Write(NodeId coordinator, storage::ObjectId object,
                     Update update, WriteDone done) {
@@ -84,75 +126,39 @@ void Cluster::Read(NodeId coordinator, storage::ObjectId object,
   StartRead(&node(coordinator), object, &histories_[object], std::move(done));
 }
 
+void Cluster::TxnWrite(NodeId coordinator, std::vector<TxnWriteSpec> specs,
+                       TxnWriteDone done) {
+  StartTxnWrite(
+      &node(coordinator), std::move(specs),
+      [this](storage::ObjectId o) { return &histories_[o]; },
+      std::move(done));
+}
+
 void Cluster::CheckEpoch(NodeId initiator, EpochCheckDone done) {
   StartEpochCheck(&node(initiator), std::move(done));
 }
 
-namespace {
-
-/// Steps the simulator until `*flag` becomes true. Returns false if the
-/// event queue drained first (the operation lost its continuation — a
-/// bug or a crashed coordinator).
-bool RunUntilFlag(sim::Simulator* sim, const bool* flag) {
-  while (!*flag) {
-    if (!sim->Step()) return false;
-  }
-  return true;
+void Cluster::CheckObjectEpoch(NodeId initiator, storage::ObjectId object,
+                               EpochCheckDone done) {
+  StartObjectEpochCheck(&node(initiator), object, std::move(done));
 }
 
-}  // namespace
-
-Result<WriteOutcome> Cluster::WriteSync(NodeId coordinator,
-                                        storage::ObjectId object,
-                                        Update update) {
-  bool fired = false;
-  Result<WriteOutcome> result = Status::Internal("unset");
-  Write(coordinator, object, std::move(update), [&](Result<WriteOutcome> r) {
-    fired = true;
-    result = std::move(r);
-  });
-  if (!RunUntilFlag(&sim_, &fired)) {
-    return Status::Internal("simulation drained before write completed "
-                            "(coordinator crashed?)");
+template <typename T, typename Start>
+T Cluster::RunSync(Start start, const char* drained) {
+  std::optional<T> result;
+  start([&result](T r) { result = std::move(r); });
+  while (!result) {
+    if (!sim_.Step()) return Status::Internal(drained);
   }
-  return result;
+  return std::move(*result);
 }
 
-Result<ReadOutcome> Cluster::ReadSync(NodeId coordinator,
-                                      storage::ObjectId object) {
-  bool fired = false;
-  Result<ReadOutcome> result = Status::Internal("unset");
-  Read(coordinator, object, [&](Result<ReadOutcome> r) {
-    fired = true;
-    result = std::move(r);
-  });
-  if (!RunUntilFlag(&sim_, &fired)) {
-    return Status::Internal("simulation drained before read completed");
-  }
-  return result;
-}
-
-Status Cluster::CheckEpochSync(NodeId initiator) {
-  bool fired = false;
-  Status result;
-  CheckEpoch(initiator, [&](Status s) {
-    fired = true;
-    result = std::move(s);
-  });
-  if (!RunUntilFlag(&sim_, &fired)) {
-    return Status::Internal("simulation drained before epoch check completed");
-  }
-  return result;
-}
-
-Result<WriteOutcome> Cluster::WriteSyncRetry(NodeId coordinator,
-                                             storage::ObjectId object,
-                                             Update update,
-                                             int max_attempts) {
+template <typename T, typename Attempt>
+T Cluster::Retry(int max_attempts, Attempt attempt) {
   const RetryPolicy& policy = options_.retry_policy;
-  Result<WriteOutcome> last = Status::Internal("no attempts made");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    last = WriteSync(coordinator, object, update);
+  T last = Status::Internal("no attempts made");
+  for (int i = 0; i < max_attempts; ++i) {
+    last = attempt();
     if (last.ok() || !policy.ShouldRetry(last.status())) return last;
     // Randomized backoff breaks symmetric lock contention and rides out
     // transient unavailability (when the policy opts in).
@@ -161,29 +167,74 @@ Result<WriteOutcome> Cluster::WriteSyncRetry(NodeId coordinator,
   return last;
 }
 
+Result<WriteOutcome> Cluster::WriteSync(NodeId coordinator,
+                                        storage::ObjectId object,
+                                        Update update) {
+  return RunSync<Result<WriteOutcome>>(
+      [&](WriteDone done) {
+        Write(coordinator, object, std::move(update), std::move(done));
+      },
+      "simulation drained before write completed (coordinator crashed?)");
+}
+
+Result<ReadOutcome> Cluster::ReadSync(NodeId coordinator,
+                                      storage::ObjectId object) {
+  return RunSync<Result<ReadOutcome>>(
+      [&](ReadDone done) { Read(coordinator, object, std::move(done)); },
+      "simulation drained before read completed");
+}
+
+Result<TxnWriteOutcome> Cluster::TxnWriteSync(
+    NodeId coordinator, std::vector<TxnWriteSpec> specs) {
+  return RunSync<Result<TxnWriteOutcome>>(
+      [&](TxnWriteDone done) {
+        TxnWrite(coordinator, std::move(specs), std::move(done));
+      },
+      "simulation drained before txn completed");
+}
+
+Status Cluster::CheckEpochSync(NodeId initiator) {
+  return RunSync<Status>(
+      [&](EpochCheckDone done) { CheckEpoch(initiator, std::move(done)); },
+      "simulation drained before epoch check completed");
+}
+
+Status Cluster::CheckObjectEpochSync(NodeId initiator,
+                                     storage::ObjectId object) {
+  return RunSync<Status>(
+      [&](EpochCheckDone done) {
+        CheckObjectEpoch(initiator, object, std::move(done));
+      },
+      "simulation drained before epoch check completed");
+}
+
+Result<WriteOutcome> Cluster::WriteSyncRetry(NodeId coordinator,
+                                             storage::ObjectId object,
+                                             Update update,
+                                             int max_attempts) {
+  return Retry<Result<WriteOutcome>>(
+      max_attempts, [&] { return WriteSync(coordinator, object, update); });
+}
+
 Result<ReadOutcome> Cluster::ReadSyncRetry(NodeId coordinator,
                                            storage::ObjectId object,
                                            int max_attempts) {
-  const RetryPolicy& policy = options_.retry_policy;
-  Result<ReadOutcome> last = Status::Internal("no attempts made");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    last = ReadSync(coordinator, object);
-    if (last.ok() || !policy.ShouldRetry(last.status())) return last;
-    RunFor(policy.backoff_base + rng_.NextDouble() * policy.backoff_jitter);
-  }
-  return last;
+  return Retry<Result<ReadOutcome>>(
+      max_attempts, [&] { return ReadSync(coordinator, object); });
 }
 
 void Cluster::Crash(NodeId id) {
   network_->SetNodeUp(id, false);
   nodes_[id]->Crash();
   if (!daemons_.empty()) daemons_[id]->OnCrash();
+  if (!muxes_.empty()) muxes_[id]->OnCrash();
 }
 
 void Cluster::Recover(NodeId id) {
   network_->SetNodeUp(id, true);
   nodes_[id]->Recover();
   if (!daemons_.empty()) daemons_[id]->OnRecover();
+  if (!muxes_.empty()) muxes_[id]->OnRecover();
 }
 
 void Cluster::Partition(const std::vector<NodeSet>& groups) {
@@ -240,50 +291,54 @@ Status Cluster::CheckEpochInvariants() const {
                               "lock record");
     }
   }
-  // Group nodes by epoch number (persistent state; crashed nodes count —
-  // they will recover with this state).
-  std::map<storage::EpochNumber, NodeSet> members;
-  std::map<storage::EpochNumber, NodeSet> lists;
-  storage::EpochNumber max_epoch = 0;
-  for (const auto& n : nodes_) {
-    storage::EpochNumber e = n->store().epoch_number();
-    max_epoch = std::max(max_epoch, e);
-    members[e].Insert(n->self());
-    auto [it, inserted] = lists.emplace(e, n->store().epoch_list());
-    if (!inserted && !(it->second == n->store().epoch_list())) {
-      return Status::Internal("nodes with epoch " + std::to_string(e) +
-                              " disagree on the epoch list");
+  for (storage::ObjectId object = 0; object < num_objects_; ++object) {
+    const std::string prefix = "object " + std::to_string(object) + ": ";
+    // Group the object's home nodes by epoch number (persistent state;
+    // crashed nodes count — they will recover with this state).
+    std::map<storage::EpochNumber, NodeSet> members;
+    std::map<storage::EpochNumber, NodeSet> lists;
+    storage::EpochNumber max_epoch = 0;
+    for (NodeId n : HomeNodes(object)) {
+      const storage::ReplicaStore& s = nodes_[n]->store(object);
+      storage::EpochNumber e = s.epoch_number();
+      max_epoch = std::max(max_epoch, e);
+      members[e].Insert(n);
+      auto [it, inserted] = lists.emplace(e, s.epoch_list());
+      if (!inserted && !(it->second == s.epoch_list())) {
+        return Status::Internal(prefix + "nodes with epoch " +
+                                std::to_string(e) +
+                                " disagree on the epoch list");
+      }
+      if (!s.epoch_list().Contains(n)) {
+        return Status::Internal(prefix + "node " + std::to_string(n) +
+                                " not a member of its own epoch list");
+      }
     }
-    if (!n->store().epoch_list().Contains(n->self())) {
-      return Status::Internal("node " + std::to_string(n->self()) +
-                              " not a member of its own epoch list");
-    }
-  }
-  // Lemma 1: only the maximum epoch may assemble a write quorum from its
-  // own members.
-  for (const auto& [e, nodes_in_e] : members) {
-    if (e == max_epoch) continue;
-    if (rule_->IsWriteQuorum(lists.at(e), nodes_in_e)) {
-      return Status::Internal(
-          "Lemma 1 violated: stale epoch " + std::to_string(e) +
-          " still holds a write quorum among " + nodes_in_e.ToString());
+    // Lemma 1: only the object's maximum epoch may assemble a write
+    // quorum from its own members.
+    for (const auto& [e, nodes_in_e] : members) {
+      if (e == max_epoch) continue;
+      if (rule_->IsWriteQuorum(lists.at(e), nodes_in_e)) {
+        return Status::Internal(
+            prefix + "Lemma 1 violated: stale epoch " + std::to_string(e) +
+            " still holds a write quorum among " + nodes_in_e.ToString());
+      }
     }
   }
   return Status::OK();
 }
 
 Status Cluster::CheckReplicaConsistency() const {
-  for (storage::ObjectId object = 0; object < nodes_[0]->num_objects();
-       ++object) {
+  for (storage::ObjectId object = 0; object < num_objects_; ++object) {
+    const NodeSet& home = HomeNodes(object);
     storage::Version max_version = 0;
-    for (const auto& n : nodes_) {
-      if (!n->store(object).stale()) {
-        max_version = std::max(max_version, n->store(object).version());
-      }
+    for (NodeId n : home) {
+      const storage::ReplicaStore& s = nodes_[n]->store(object);
+      if (!s.stale()) max_version = std::max(max_version, s.version());
     }
     const std::vector<uint8_t>* reference = nullptr;
-    for (const auto& n : nodes_) {
-      const auto& s = n->store(object);
+    for (NodeId n : home) {
+      const storage::ReplicaStore& s = nodes_[n]->store(object);
       if (!s.stale() && s.version() == max_version) {
         if (reference == nullptr) {
           reference = &s.object().data();
@@ -296,7 +351,7 @@ Status Cluster::CheckReplicaConsistency() const {
       }
       if (s.stale() && s.version() >= s.desired_version()) {
         return Status::Internal(
-            "node " + std::to_string(s.self()) + " object " +
+            "node " + std::to_string(n) + " object " +
             std::to_string(object) +
             " is marked stale but already reached its desired version");
       }

@@ -10,8 +10,10 @@
 #include "coterie/grid.h"
 #include "net/network.h"
 #include "protocol/epoch_daemon.h"
+#include "protocol/epoch_mux.h"
 #include "protocol/history.h"
 #include "protocol/operations.h"
+#include "protocol/placement.h"
 #include "protocol/replica_node.h"
 #include "sim/simulator.h"
 #include "util/random.h"
@@ -54,9 +56,16 @@ struct RetryPolicy {
 
 struct ClusterOptions {
   uint32_t num_nodes = 9;
-  /// Data items in the replica group. All share one epoch; epoch checks
-  /// cover the group at once (Section 2's amortization).
+  /// Data items, ids [0, num_objects). In group mode every node hosts all
+  /// of them and they share one epoch; epoch checks cover the group at
+  /// once (Section 2's amortization).
   uint32_t num_objects = 1;
+  /// Sharded deployment: place each object onto a `replication_factor`
+  /// subset of the nodes (an ObjectTable seeded by `seed`) and give it its
+  /// own epoch lineage. Epoch checks are then per object
+  /// (CheckObjectEpoch).
+  bool sharded = false;
+  uint32_t replication_factor = 3;
   CoterieKind coterie = CoterieKind::kGrid;
   uint64_t seed = 1;
   net::LatencyModel latency{1.0, 0.5};
@@ -76,7 +85,10 @@ struct ClusterOptions {
   /// Governs WriteSyncRetry / ReadSyncRetry.
   RetryPolicy retry_policy;
 
-  /// Start the background epoch-check/election daemons on every node.
+  /// Start the background epoch-check daemon on every node: an elected
+  /// EpochDaemon per node in group mode, a multiplexed per-object
+  /// EpochMux per node when sharded. Both check every
+  /// `daemon_options.check_interval`.
   bool start_epoch_daemons = false;
   EpochDaemonOptions daemon_options;
 
@@ -86,10 +98,13 @@ struct ClusterOptions {
   bool enable_tracing = false;
 };
 
-/// An in-simulator deployment of one replicated data item: N replica
-/// nodes, the network, optional epoch daemons, and a history recorder.
-/// This is the library's top-level entry point — examples, tests, and
-/// benches all drive the protocol through a Cluster.
+/// An in-simulator deployment: N replica nodes, the network, optional
+/// epoch daemons, and a history recorder per object. The nodes either
+/// form one replica group whose objects share an epoch, or (sharded) host
+/// the objects an ObjectTable places on them, each object with its own
+/// epoch lineage over its home set. This is the library's top-level entry
+/// point — examples, tests, and benches all drive the protocol through a
+/// Cluster.
 class Cluster {
  public:
   explicit Cluster(ClusterOptions options);
@@ -105,11 +120,25 @@ class Cluster {
   ReplicaNode& node(NodeId id) { return *nodes_[id]; }
   const ReplicaNode& node(NodeId id) const { return *nodes_[id]; }
   uint32_t num_nodes() const { return static_cast<uint32_t>(nodes_.size()); }
-  NodeSet all_nodes() const { return NodeSet::Universe(num_nodes()); }
+  uint32_t num_objects() const { return num_objects_; }
+  const NodeSet& all_nodes() const { return all_; }
   HistoryRecorder& history(storage::ObjectId object = 0) {
     return histories_[object];
   }
   const ClusterOptions& options() const { return options_; }
+  /// The placement table of a sharded deployment; null in group mode.
+  const ObjectTable* table() const { return table_.get(); }
+  /// Node `id`'s multiplexed epoch daemon (sharded, daemons started).
+  EpochMux& mux(NodeId id) { return *muxes_[id]; }
+
+  /// The nodes holding `object`'s replicas: its placement home set when
+  /// sharded, every node in group mode.
+  const NodeSet& HomeNodes(storage::ObjectId object) const {
+    return table_ ? table_->placement(object).replicas : all_;
+  }
+  /// Picks a coordinator for `object`: a live home node (rotated by the
+  /// cluster RNG), falling back to any live node, then home member 0.
+  [[nodiscard]] NodeId RouteCoordinator(storage::ObjectId object);
 
   // --- asynchronous client operations (coordinator = a replica node) ---
   void Write(NodeId coordinator, storage::ObjectId object, Update update,
@@ -121,7 +150,14 @@ class Cluster {
   void Read(NodeId coordinator, ReadDone done) {
     Read(coordinator, 0, std::move(done));
   }
+  /// Cross-object transaction: every spec commits or none does.
+  void TxnWrite(NodeId coordinator, std::vector<TxnWriteSpec> specs,
+                TxnWriteDone done);
+  /// Group-wide epoch check (group mode).
   void CheckEpoch(NodeId initiator, EpochCheckDone done);
+  /// Epoch check of one object's lineage (sharded mode).
+  void CheckObjectEpoch(NodeId initiator, storage::ObjectId object,
+                        EpochCheckDone done);
 
   // --- synchronous wrappers: run the simulation until the operation
   //     completes (events after completion stay queued). ---
@@ -134,7 +170,11 @@ class Cluster {
   }
   [[nodiscard]] Result<ReadOutcome> ReadSync(NodeId coordinator,
                                storage::ObjectId object = 0);
+  [[nodiscard]] Result<TxnWriteOutcome> TxnWriteSync(
+      NodeId coordinator, std::vector<TxnWriteSpec> specs);
   [[nodiscard]] Status CheckEpochSync(NodeId initiator);
+  [[nodiscard]] Status CheckObjectEpochSync(NodeId initiator,
+                                            storage::ObjectId object);
 
   /// WriteSync with bounded retries on lock conflicts (randomized
   /// backoff); the usual way clients drive writes.
@@ -149,6 +189,8 @@ class Cluster {
   [[nodiscard]] Result<ReadOutcome> ReadSyncRetry(NodeId coordinator,
                                     storage::ObjectId object,
                                     int max_attempts);
+  /// Reads object 0: the second argument is `max_attempts`, so reads of
+  /// another object must use the three-argument form.
   [[nodiscard]] Result<ReadOutcome> ReadSyncRetry(NodeId coordinator,
                                     int max_attempts = 10) {
     return ReadSyncRetry(coordinator, 0, max_attempts);
@@ -180,32 +222,48 @@ class Cluster {
 
   // --- invariant checking (test support) ---
 
-  /// Lemma-1 style epoch invariants, valid at quiescence (no prepared
-  /// transaction anywhere): nodes sharing an epoch number agree on the
-  /// epoch list and belong to it; only the highest epoch number present
-  /// can assemble a write quorum from its own members.
+  /// Lemma-1 style epoch invariants per object over its home nodes, valid
+  /// at quiescence (no prepared transaction anywhere): nodes sharing an
+  /// epoch number agree on the epoch list and belong to it; only the
+  /// highest epoch number present can assemble a write quorum from its own
+  /// members.
   [[nodiscard]] Status CheckEpochInvariants() const;
 
-  /// All non-stale replicas at the maximum version hold identical data;
-  /// stale replicas are strictly behind their desired version or awaiting
-  /// ClearStale.
+  /// Per object over its home nodes: all non-stale replicas at the
+  /// maximum version hold identical data; stale replicas are strictly
+  /// behind their desired version or awaiting ClearStale.
   [[nodiscard]] Status CheckReplicaConsistency() const;
 
   /// True iff no node currently has a prepared-but-undecided 2PC action.
   bool Quiescent() const;
 
-  /// Runs the recorded history through the one-copy-serializability
-  /// checker.
+  /// Runs every object's recorded history through the
+  /// one-copy-serializability checker.
   [[nodiscard]] Status CheckHistory() const;
 
  private:
+  /// Starts an operation with `start(done)` and steps the simulation until
+  /// `done` fires (events after completion stay queued). If the event
+  /// queue drains first — the operation lost its continuation: a bug or a
+  /// crashed coordinator — returns Internal(`drained`).
+  template <typename T, typename Start>
+  T RunSync(Start start, const char* drained);
+  /// Repeats `attempt()` while the retry policy allows, up to
+  /// `max_attempts` times, with randomized backoff in between.
+  template <typename T, typename Attempt>
+  T Retry(int max_attempts, Attempt attempt);
+
   ClusterOptions options_;
   sim::Simulator sim_;
   Rng rng_;
+  std::unique_ptr<ObjectTable> table_;  ///< Sharded mode only.
+  NodeSet all_;
+  uint32_t num_objects_;
   std::unique_ptr<coterie::CoterieRule> rule_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<ReplicaNode>> nodes_;
-  std::vector<std::unique_ptr<EpochDaemon>> daemons_;
+  std::vector<std::unique_ptr<EpochDaemon>> daemons_;  ///< Group mode.
+  std::vector<std::unique_ptr<EpochMux>> muxes_;       ///< Sharded mode.
   std::map<storage::ObjectId, HistoryRecorder> histories_;
 };
 

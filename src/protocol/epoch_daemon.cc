@@ -44,15 +44,6 @@ EpochDaemon::EpochDaemon(ReplicaNode* node, EpochDaemonOptions options)
 
 EpochDaemon::~EpochDaemon() = default;
 
-EpochDaemonStats EpochDaemon::stats() const {
-  EpochDaemonStats s;
-  s.checks_run = counters_.checks_run->value();
-  s.checks_failed = counters_.checks_failed->value();
-  s.elections_started = counters_.elections_started->value();
-  s.leaderships_assumed = counters_.leaderships_assumed->value();
-  return s;
-}
-
 void EpochDaemon::OnCrash() {
   check_in_flight_ = false;
   campaigning_ = false;

@@ -21,14 +21,6 @@ struct EpochDaemonOptions {
   rt::Time leader_timeout = 900.0;
 };
 
-/// Snapshot view of one daemon's registry counters ("daemon.<id>.*").
-struct EpochDaemonStats {
-  uint64_t checks_run = 0;
-  uint64_t checks_failed = 0;
-  uint64_t elections_started = 0;
-  uint64_t leaderships_assumed = 0;
-};
-
 /// Per-node background task: elects the epoch-check initiator (bully
 /// election over the linearly ordered node names, per Garcia-Molina [7])
 /// and, on the leader, issues periodic CheckEpoch operations.
@@ -38,9 +30,6 @@ class EpochDaemon {
   ~EpochDaemon();
   EpochDaemon(const EpochDaemon&) = delete;
   EpochDaemon& operator=(const EpochDaemon&) = delete;
-
-  NodeId believed_leader() const { return believed_leader_; }
-  EpochDaemonStats stats() const;
 
   /// Called by the cluster harness around fail-stop events.
   void OnCrash();

@@ -119,10 +119,10 @@ class WriteOp : public std::enable_shared_from_this<WriteOp> {
     sim->tracer().BeginSpan("op", "write", node_->self(), span_id_,
                             {{"object", std::to_string(object_)}});
     uint64_t selector = SelectorFor(owner_.coordinator, owner_.operation_id);
-    // Group mode: epoch_hint/rule_for/universe are the shared epoch, the
-    // node rule and the whole cluster — identical to the pre-sharding
-    // behavior. Sharded: the object's own lineage, rule and home set.
-    Result<NodeSet> quorum = node_->rule_for(object_).WriteQuorum(
+    // Group mode: epoch_hint/universe are the shared epoch and the whole
+    // cluster — identical to the pre-sharding behavior. Sharded: the
+    // object's own lineage and home set.
+    Result<NodeSet> quorum = node_->rule().WriteQuorum(
         node_->epoch_hint(object_).list, selector);
     if (!quorum.ok()) {
       Complete(quorum.status());
@@ -161,7 +161,7 @@ class WriteOp : public std::enable_shared_from_this<WriteOp> {
   void EvaluateFirstRound() {
     Analysis a = Analyze(held_);
     if (!held_.empty() &&
-        node_->rule_for(object_).IsWriteQuorum(a.max_epoch_list,
+        node_->rule().IsWriteQuorum(a.max_epoch_list,
                                                KeysOf(held_)) &&
         a.HasCurrentReplica()) {
       CommitPhase(a);  // The common, failure-free case.
@@ -181,7 +181,7 @@ class WriteOp : public std::enable_shared_from_this<WriteOp> {
     auto self = shared_from_this();
     LockNodes(remaining, [self](bool) {
       Analysis a = Analyze(self->held_);
-      const coterie::CoterieRule& rule = self->node_->rule_for(self->object_);
+      const coterie::CoterieRule& rule = self->node_->rule();
       if (!self->held_.empty() &&
           rule.IsWriteQuorum(a.max_epoch_list, KeysOf(self->held_)) &&
           a.HasCurrentReplica()) {
@@ -397,7 +397,7 @@ class ReadOp : public std::enable_shared_from_this<ReadOp> {
     sim->tracer().BeginSpan("op", "read", node_->self(), span_id_,
                             {{"object", std::to_string(object_)}});
     uint64_t selector = SelectorFor(owner_.coordinator, owner_.operation_id);
-    Result<NodeSet> quorum = node_->rule_for(object_).ReadQuorum(
+    Result<NodeSet> quorum = node_->rule().ReadQuorum(
         node_->epoch_hint(object_).list, selector);
     if (!quorum.ok()) {
       Complete(quorum.status());
@@ -407,7 +407,7 @@ class ReadOp : public std::enable_shared_from_this<ReadOp> {
     LockNodes(*quorum, [self] {
       Analysis a = Analyze(self->held_);
       if (!self->held_.empty() &&
-          self->node_->rule_for(self->object_)
+          self->node_->rule()
               .IsReadQuorum(a.max_epoch_list, KeysOf(self->held_)) &&
           a.HasCurrentReplica()) {
         self->Fetch(a);
@@ -449,7 +449,7 @@ class ReadOp : public std::enable_shared_from_this<ReadOp> {
     LockNodes(remaining, [self] {
       Analysis a = Analyze(self->held_);
       if (!self->held_.empty() &&
-          self->node_->rule_for(self->object_)
+          self->node_->rule()
               .IsReadQuorum(a.max_epoch_list, KeysOf(self->held_)) &&
           a.HasCurrentReplica()) {
         self->Fetch(a);
@@ -603,7 +603,7 @@ class TxnWriteOp : public std::enable_shared_from_this<TxnWriteOp> {
     }
     ObjectId object = specs_[idx].object;
     uint64_t selector = SelectorFor(owner_.coordinator, owner_.operation_id);
-    Result<NodeSet> quorum = node_->rule_for(object).WriteQuorum(
+    Result<NodeSet> quorum = node_->rule().WriteQuorum(
         node_->epoch_hint(object).list, selector);
     auto self = shared_from_this();
     if (!quorum.ok()) {
@@ -643,7 +643,7 @@ class TxnWriteOp : public std::enable_shared_from_this<TxnWriteOp> {
     Analysis a = Analyze(po.held);
     ObjectId object = specs_[idx].object;
     if (!po.held.empty() &&
-        node_->rule_for(object).IsWriteQuorum(a.max_epoch_list,
+        node_->rule().IsWriteQuorum(a.max_epoch_list,
                                               KeysOf(po.held)) &&
         a.HasCurrentReplica()) {
       po.analysis = a;
@@ -651,7 +651,7 @@ class TxnWriteOp : public std::enable_shared_from_this<TxnWriteOp> {
     } else if (!po.heavy) {
       StartHeavy(idx);
     } else if (!a.HasCurrentReplica() && !po.held.empty() &&
-               node_->rule_for(object).IsWriteQuorum(a.max_epoch_list,
+               node_->rule().IsWriteQuorum(a.max_epoch_list,
                                                      KeysOf(po.held))) {
       Fail(Status::StaleData("no current replica reachable for object " +
                              std::to_string(object)));
@@ -819,10 +819,6 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
   }
 
  private:
-  const coterie::CoterieRule& Rule() const {
-    return scoped_ ? node_->rule_for(*scoped_) : node_->rule();
-  }
-
   void Evaluate(std::map<NodeId, EpochPollResponse> responded) {
     if (responded.empty()) {
       Complete(Status::Unavailable("no replica responded to the epoch poll"));
@@ -840,7 +836,7 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
         max_epoch_list = resp.elist;
       }
     }
-    if (!Rule().IsWriteQuorum(max_epoch_list, new_epoch)) {
+    if (!node_->rule().IsWriteQuorum(max_epoch_list, new_epoch)) {
       Complete(Status::Unavailable(
           "respondents do not include a write quorum of epoch " +
           std::to_string(max_epoch)));

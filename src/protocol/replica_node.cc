@@ -59,7 +59,6 @@ ReplicaNode::ReplicaNode(rt::Transport* transport, NodeId self, NodeSet pool,
     objects_.emplace(spec.id,
                      storage::ReplicaStore(self, spec.home,
                                            std::move(spec.initial_value)));
-    if (spec.rule != nullptr) object_rules_[spec.id] = spec.rule;
   }
   InitCommon();
 }
@@ -102,11 +101,6 @@ const NodeSet& ReplicaNode::universe(ObjectId object) const {
   auto it = directory_.find(object);
   assert(it != directory_.end() && "object not in placement directory");
   return it->second;
-}
-
-const coterie::CoterieRule& ReplicaNode::rule_for(ObjectId object) const {
-  auto it = object_rules_.find(object);
-  return it == object_rules_.end() ? *rule_ : *it->second;
 }
 
 storage::EpochRecord ReplicaNode::epoch_hint(ObjectId object) const {

@@ -102,13 +102,11 @@ struct ReplicaNodeStats {
 
 /// One object replica hosted by a node in a *sharded* deployment: which
 /// object, where its replicas live (the initial — epoch-0 — member list of
-/// its private epoch lineage), under which coterie rule, and its birth
-/// value. Produced by the placement layer (src/shard/placement.h).
+/// its private epoch lineage), and its birth value. Produced by the
+/// placement layer (protocol/placement.h).
 struct HostedObjectSpec {
   storage::ObjectId id = 0;
   NodeSet home;
-  /// Rule governing this object's quorums; nullptr = the node's default.
-  const coterie::CoterieRule* rule = nullptr;
   std::vector<uint8_t> initial_value;
 };
 
@@ -131,16 +129,6 @@ class ReplicaNode : public net::RpcService {
               const coterie::CoterieRule* rule,
               std::vector<std::vector<uint8_t>> initial_values,
               ReplicaNodeOptions options = {});
-
-  /// Single-object convenience constructor.
-  ReplicaNode(rt::Transport* transport, NodeId self, NodeSet all_nodes,
-              const coterie::CoterieRule* rule,
-              std::vector<uint8_t> initial_value,
-              ReplicaNodeOptions options = {})
-      : ReplicaNode(transport, self, std::move(all_nodes), rule,
-                    std::vector<std::vector<uint8_t>>{
-                        std::move(initial_value)},
-                    options) {}
 
   /// Sharded constructor: the node hosts exactly the objects in `catalog`,
   /// each with its *own* epoch lineage born as (0, spec.home) — no shared
@@ -174,9 +162,6 @@ class ReplicaNode : public net::RpcService {
   const coterie::CoterieRule& rule() const { return *rule_; }
   const NodeSet& all_nodes() const { return all_nodes_; }
 
-  /// True when this node was built from a placement catalog (per-object
-  /// epoch lineages) rather than as one epoch-sharing group.
-  bool sharded() const { return sharded_; }
   bool HostsObject(ObjectId object) const {
     return objects_.count(object) > 0;
   }
@@ -188,9 +173,6 @@ class ReplicaNode : public net::RpcService {
   /// Coordinator operations bound their heavy procedure — and epoch
   /// membership — by this set.
   const NodeSet& universe(ObjectId object) const;
-
-  /// The coterie rule governing `object` (group mode: the node default).
-  const coterie::CoterieRule& rule_for(ObjectId object) const;
 
   /// Best local guess of `object`'s current epoch, used by coordinator
   /// operations to pick a first-round quorum. Group mode: the shared
@@ -398,11 +380,9 @@ class ReplicaNode : public net::RpcService {
   ExtensionHandler extension_handler_;
 
   /// Sharded mode only: every object's home set (the placement
-  /// directory) and, for objects whose coterie class differs from the
-  /// node default, the governing rule.
+  /// directory).
   bool sharded_ = false;
   std::map<ObjectId, NodeSet> directory_;
-  std::map<ObjectId, const coterie::CoterieRule*> object_rules_;
 
   /// Durable engine; null with durability off. `initial_values_` is the
   /// birth state Recover() rebuilds from when the disk is empty (kept

@@ -9,29 +9,25 @@
 #include <set>
 #include <vector>
 
-#include "shard/sharded_cluster.h"
+#include "protocol/cluster.h"
 
-namespace dcp::shard {
+namespace dcp::protocol {
 namespace {
 
-using protocol::LockMode;
-using protocol::ObjectAction;
-using protocol::ReplicaNode;
-using protocol::StagedAction;
 using storage::LockOwner;
 using storage::ObjectId;
 using storage::Update;
 using storage::Version;
-namespace msg = protocol::msg;
 
 constexpr NodeId kNode = 0;
 
-ShardedClusterOptions Options(
-    protocol::LockPolicy policy = protocol::LockPolicy::kRefuse) {
-  ShardedClusterOptions opts;
+ClusterOptions Options(LockPolicy policy = LockPolicy::kRefuse) {
+  ClusterOptions opts;
   opts.num_nodes = 7;
   opts.num_objects = 1024;
+  opts.sharded = true;
   opts.replication_factor = 3;
+  opts.coterie = CoterieKind::kMajority;
   opts.seed = 5;
   opts.initial_value = {0, 0, 0, 0};
   opts.node_options.lock_policy = policy;
@@ -62,8 +58,8 @@ StagedAction MarkStaleAction(ObjectId object, Version desired) {
 /// Drives node kNode of a sharded cluster through raw requests.
 class LockIndexTest : public ::testing::Test {
  protected:
-  void Build(protocol::LockPolicy policy = protocol::LockPolicy::kRefuse) {
-    cluster_ = std::make_unique<ShardedCluster>(Options(policy));
+  void Build(LockPolicy policy = LockPolicy::kRefuse) {
+    cluster_ = std::make_unique<Cluster>(Options(policy));
     hosted_ = node().HostedObjects();
     ASSERT_GT(hosted_.size(), 100u);
   }
@@ -72,7 +68,7 @@ class LockIndexTest : public ::testing::Test {
 
   Status Lock(const LockOwner& owner, ObjectId object,
               bool exclusive = true, rt::Time op_started = 0) {
-    auto req = std::make_shared<protocol::LockRequest>();
+    auto req = std::make_shared<LockRequest>();
     req->owner = owner;
     req->object = object;
     req->mode = exclusive ? LockMode::kExclusive : LockMode::kShared;
@@ -80,12 +76,12 @@ class LockIndexTest : public ::testing::Test {
     return node().HandleRequest(owner.coordinator, msg::kLock, req).status();
   }
   Status Unlock(const LockOwner& owner) {
-    auto req = std::make_shared<protocol::UnlockRequest>();
+    auto req = std::make_shared<UnlockRequest>();
     req->owner = owner;
     return node().HandleRequest(owner.coordinator, msg::kUnlock, req).status();
   }
   Status Prepare(const LockOwner& owner, StagedAction action) {
-    auto req = std::make_shared<protocol::PrepareRequest>();
+    auto req = std::make_shared<PrepareRequest>();
     req->owner = owner;
     req->action = std::move(action);
     req->participants = NodeSet({kNode, owner.coordinator});
@@ -93,13 +89,13 @@ class LockIndexTest : public ::testing::Test {
         .status();
   }
   Status Commit(const LockOwner& owner) {
-    auto req = std::make_shared<protocol::CommitRequest>();
+    auto req = std::make_shared<CommitRequest>();
     req->owner = owner;
     return node().HandleRequest(owner.coordinator, msg::kCommit, req)
         .status();
   }
   Status Abort(const LockOwner& owner) {
-    auto req = std::make_shared<protocol::AbortRequest>();
+    auto req = std::make_shared<AbortRequest>();
     req->owner = owner;
     return node().HandleRequest(owner.coordinator, msg::kAbort, req).status();
   }
@@ -125,7 +121,7 @@ class LockIndexTest : public ::testing::Test {
     EXPECT_TRUE(node().LockIndexConsistent());
   }
 
-  std::unique_ptr<ShardedCluster> cluster_;
+  std::unique_ptr<Cluster> cluster_;
   std::vector<ObjectId> hosted_;
 };
 
@@ -215,7 +211,7 @@ TEST_F(LockIndexTest, RejectedPrepareRollsBack) {
 }
 
 TEST_F(LockIndexTest, WoundEvictionDropsVictimRecord) {
-  Build(protocol::LockPolicy::kWoundWait);
+  Build(LockPolicy::kWoundWait);
   cluster_->RunFor(100);
   LockOwner young{1, 10};
   LockOwner old{2, 20};
@@ -229,7 +225,7 @@ TEST_F(LockIndexTest, WoundEvictionDropsVictimRecord) {
 }
 
 TEST_F(LockIndexTest, WoundOnOneObjectKeepsVictimsOtherLocks) {
-  Build(protocol::LockPolicy::kWoundWait);
+  Build(LockPolicy::kWoundWait);
   cluster_->RunFor(100);
   LockOwner young{1, 10};
   LockOwner old{2, 20};
@@ -279,14 +275,14 @@ TEST_F(LockIndexTest, PropagationReleasesTransferLock) {
   ASSERT_TRUE(node().store(object).stale());
 
   auto offer = [&](uint64_t transfer_id) {
-    auto req = std::make_shared<protocol::PropagationOffer>();
+    auto req = std::make_shared<PropagationOffer>();
     req->object = object;
     req->source_version = 3;
     req->transfer_id = transfer_id;
     auto r = node().HandleRequest(2, msg::kPropOffer, req);
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(net::As<protocol::PropagationOfferReply>(*r).verdict,
-              protocol::PropagationVerdict::kPermitted);
+    EXPECT_EQ(net::As<PropagationOfferReply>(*r).verdict,
+              PropagationVerdict::kPermitted);
   };
 
   // The source vanishes after the offer: the watchdog reclaims the lock.
@@ -300,7 +296,7 @@ TEST_F(LockIndexTest, PropagationReleasesTransferLock) {
   // A completed transfer releases on data arrival.
   LockOwner transfer{2, 51};
   offer(transfer.operation_id);
-  auto data = std::make_shared<protocol::PropagationData>();
+  auto data = std::make_shared<PropagationData>();
   data->object = object;
   data->transfer_id = transfer.operation_id;
   data->snapshot = true;
@@ -352,4 +348,4 @@ TEST_F(LockIndexTest, RecoveryRelocksExactlyTheInDoubtFootprints) {
 }
 
 }  // namespace
-}  // namespace dcp::shard
+}  // namespace dcp::protocol

@@ -1,35 +1,36 @@
-// ShardedCluster facade tests: per-object routing and epoch lineages,
+// Sharded Cluster tests: per-object routing and epoch lineages,
 // cross-object transactions, the multiplexed epoch daemon, and the
-// sharded invariant checkers.
+// per-object invariant checkers.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
-#include "shard/sharded_cluster.h"
+#include "protocol/cluster.h"
 
-namespace dcp::shard {
+namespace dcp::protocol {
 namespace {
 
-using protocol::TxnWriteSpec;
 using storage::ObjectId;
 using storage::Update;
 
-ShardedClusterOptions Options() {
-  ShardedClusterOptions opts;
+ClusterOptions Options() {
+  ClusterOptions opts;
   opts.num_nodes = 7;
   opts.num_objects = 16;
+  opts.sharded = true;
   opts.replication_factor = 3;
+  opts.coterie = CoterieKind::kMajority;
   opts.seed = 11;
   opts.initial_value = {0};
   return opts;
 }
 
 /// First object whose home set avoids every node in `avoid`.
-ObjectId FindObjectAvoiding(const ShardedCluster& cluster,
-                            const NodeSet& avoid) {
-  for (ObjectId o = 0; o < cluster.table().num_objects(); ++o) {
-    if (cluster.table().placement(o).replicas.Intersection(avoid).Empty()) {
+ObjectId FindObjectAvoiding(const Cluster& cluster, const NodeSet& avoid) {
+  for (ObjectId o = 0; o < cluster.num_objects(); ++o) {
+    if (cluster.HomeNodes(o).Intersection(avoid).Empty()) {
       return o;
     }
   }
@@ -37,19 +38,26 @@ ObjectId FindObjectAvoiding(const ShardedCluster& cluster,
   return 0;
 }
 
-TEST(ShardedCluster, WriteReadRoundTripAcrossObjects) {
-  ShardedCluster cluster(Options());
+/// Node `n`'s mux counter "shard.mux.<n>.<name>".
+uint64_t MuxCounter(Cluster& cluster, NodeId n, const std::string& name) {
+  return cluster.metrics()
+      .counter("shard.mux." + std::to_string(n) + "." + name)
+      ->value();
+}
+
+TEST(ShardedMode, WriteReadRoundTripAcrossObjects) {
+  Cluster cluster(Options());
   for (ObjectId o = 0; o < cluster.num_objects(); ++o) {
     NodeId coord = cluster.RouteCoordinator(o);
     EXPECT_TRUE(cluster.HomeNodes(o).Contains(coord));
     auto w = cluster.WriteSyncRetry(
-        coord, o, Update::Total({static_cast<uint8_t>(o), 0x5A}));
+        coord, o, Update::Total({static_cast<uint8_t>(o), 0x5A}), 10);
     ASSERT_TRUE(w.ok()) << "object " << o << ": " << w.status().ToString();
     EXPECT_EQ(w->version, 1u);
   }
   cluster.RunFor(2000);
   for (ObjectId o = 0; o < cluster.num_objects(); ++o) {
-    auto r = cluster.ReadSyncRetry(cluster.RouteCoordinator(o), o);
+    auto r = cluster.ReadSyncRetry(cluster.RouteCoordinator(o), o, 10);
     ASSERT_TRUE(r.ok()) << "object " << o << ": " << r.status().ToString();
     EXPECT_EQ(r->version, 1u);
     EXPECT_EQ(r->data,
@@ -60,22 +68,22 @@ TEST(ShardedCluster, WriteReadRoundTripAcrossObjects) {
   EXPECT_TRUE(cluster.CheckHistory().ok());
 }
 
-TEST(ShardedCluster, ObjectsHaveIndependentVersionsAndHistories) {
-  ShardedCluster cluster(Options());
+TEST(ShardedMode, ObjectsHaveIndependentVersionsAndHistories) {
+  Cluster cluster(Options());
   // Three writes to object 2, one to object 3: versions advance per
   // lineage, not globally.
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(cluster
                     .WriteSyncRetry(cluster.RouteCoordinator(2), 2,
-                                    Update::Partial(0, {uint8_t(i)}))
+                                    Update::Partial(0, {uint8_t(i)}), 10)
                     .ok());
   }
   ASSERT_TRUE(cluster
                   .WriteSyncRetry(cluster.RouteCoordinator(3), 3,
-                                  Update::Partial(0, {7}))
+                                  Update::Partial(0, {7}), 10)
                   .ok());
-  auto r2 = cluster.ReadSyncRetry(cluster.RouteCoordinator(2), 2);
-  auto r3 = cluster.ReadSyncRetry(cluster.RouteCoordinator(3), 3);
+  auto r2 = cluster.ReadSyncRetry(cluster.RouteCoordinator(2), 2, 10);
+  auto r3 = cluster.ReadSyncRetry(cluster.RouteCoordinator(3), 3, 10);
   ASSERT_TRUE(r2.ok() && r3.ok());
   EXPECT_EQ(r2->version, 3u);
   EXPECT_EQ(r3->version, 1u);
@@ -84,8 +92,8 @@ TEST(ShardedCluster, ObjectsHaveIndependentVersionsAndHistories) {
   EXPECT_TRUE(cluster.CheckHistory().ok());
 }
 
-TEST(ShardedCluster, TxnWriteCommitsAcrossObjects) {
-  ShardedCluster cluster(Options());
+TEST(ShardedMode, TxnWriteCommitsAcrossObjects) {
+  Cluster cluster(Options());
   std::vector<TxnWriteSpec> specs;
   for (ObjectId o : {ObjectId{1}, ObjectId{4}, ObjectId{9}}) {
     TxnWriteSpec spec;
@@ -99,7 +107,7 @@ TEST(ShardedCluster, TxnWriteCommitsAcrossObjects) {
   for (const TxnWriteSpec& spec : specs) {
     EXPECT_EQ(txn->versions.at(spec.object), 1u);
     auto r = cluster.ReadSyncRetry(cluster.RouteCoordinator(spec.object),
-                                   spec.object);
+                                   spec.object, 10);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->data, spec.update.bytes);
   }
@@ -108,8 +116,8 @@ TEST(ShardedCluster, TxnWriteCommitsAcrossObjects) {
   EXPECT_TRUE(cluster.CheckHistory().ok());
 }
 
-TEST(ShardedCluster, TxnWriteRejectsDuplicateObjects) {
-  ShardedCluster cluster(Options());
+TEST(ShardedMode, TxnWriteRejectsDuplicateObjects) {
+  Cluster cluster(Options());
   TxnWriteSpec a;
   a.object = 5;
   a.update = Update::Partial(0, {1});
@@ -119,15 +127,15 @@ TEST(ShardedCluster, TxnWriteRejectsDuplicateObjects) {
       << txn.status().ToString();
 }
 
-TEST(ShardedCluster, TxnWriteRejectsEmptySpecList) {
-  ShardedCluster cluster(Options());
+TEST(ShardedMode, TxnWriteRejectsEmptySpecList) {
+  Cluster cluster(Options());
   auto txn = cluster.TxnWriteSync(0, {});
   ASSERT_FALSE(txn.ok());
   EXPECT_EQ(txn.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardedCluster, TxnAbortReleasesEveryObjectsLocks) {
-  ShardedCluster cluster(Options());
+TEST(ShardedMode, TxnAbortReleasesEveryObjectsLocks) {
+  Cluster cluster(Options());
   // Kill the quorum of one object, keep another object's home untouched.
   ObjectId doomed = 0;
   const NodeSet& doomed_home = cluster.HomeNodes(doomed);
@@ -150,14 +158,14 @@ TEST(ShardedCluster, TxnAbortReleasesEveryObjectsLocks) {
   EXPECT_TRUE(cluster.Quiescent());
 
   auto w = cluster.WriteSyncRetry(cluster.RouteCoordinator(healthy), healthy,
-                                  Update::Partial(0, {3}));
+                                  Update::Partial(0, {3}), 10);
   EXPECT_TRUE(w.ok()) << "locks leaked after txn abort: "
                       << w.status().ToString();
   EXPECT_TRUE(cluster.CheckHistory().ok());
 }
 
-TEST(ShardedCluster, ScopedEpochCheckShrinksOnlyThatLineage) {
-  ShardedCluster cluster(Options());
+TEST(ShardedMode, ScopedEpochCheckShrinksOnlyThatLineage) {
+  Cluster cluster(Options());
   ObjectId victim = 0;
   const NodeSet home = cluster.HomeNodes(victim);
   NodeId dead = home.NthMember(0);
@@ -184,17 +192,17 @@ TEST(ShardedCluster, ScopedEpochCheckShrinksOnlyThatLineage) {
   EXPECT_TRUE(cluster.CheckEpochInvariants().ok());
 
   // Writes to the victim keep working in the shrunken epoch.
-  auto w = cluster.WriteSyncRetry(initiator, victim, Update::Partial(0, {9}));
+  auto w = cluster.WriteSyncRetry(initiator, victim, Update::Partial(0, {9}), 10);
   EXPECT_TRUE(w.ok()) << w.status().ToString();
 }
 
-TEST(ShardedCluster, UnscopedEpochCheckFailsOnShardedNodes) {
-  ShardedCluster cluster(Options());
+TEST(ShardedMode, UnscopedEpochCheckFailsOnShardedNodes) {
+  Cluster cluster(Options());
   // Sharded nodes have no shared group epoch; the group-wide check cannot
   // gather a single poll response.
   bool fired = false;
   Status result;
-  protocol::StartEpochCheck(&cluster.node(0), [&](Status s) {
+  StartEpochCheck(&cluster.node(0), [&](Status s) {
     fired = true;
     result = std::move(s);
   });
@@ -203,8 +211,8 @@ TEST(ShardedCluster, UnscopedEpochCheckFailsOnShardedNodes) {
   EXPECT_FALSE(result.ok());
 }
 
-TEST(ShardedCluster, RouteCoordinatorPrefersLiveHomeNodes) {
-  ShardedCluster cluster(Options());
+TEST(ShardedMode, RouteCoordinatorPrefersLiveHomeNodes) {
+  Cluster cluster(Options());
   ObjectId o = 6;
   const NodeSet& home = cluster.HomeNodes(o);
   for (int i = 0; i < 32; ++i) {
@@ -219,26 +227,24 @@ TEST(ShardedCluster, RouteCoordinatorPrefersLiveHomeNodes) {
   }
 }
 
-TEST(ShardedCluster, MuxRunsChecksWithOneTimerPerNode) {
-  ShardedClusterOptions opts = Options();
+TEST(ShardedMode, MuxRunsChecksWithOneTimerPerNode) {
+  ClusterOptions opts = Options();
   opts.num_objects = 64;
-  opts.start_epoch_muxes = true;
-  opts.mux_options.check_interval = 300.0;
-  opts.mux_options.batch_per_tick = 4;
-  ShardedCluster cluster(opts);
+  opts.start_epoch_daemons = true;
+  opts.daemon_options.check_interval = 300.0;
+  Cluster cluster(opts);
   cluster.RunFor(4000);
 
   uint64_t total_ticks = 0;
   uint64_t total_checks = 0;
   for (NodeId n = 0; n < 7; ++n) {
-    EpochMuxStats st = cluster.mux(n).stats();
-    total_ticks += st.ticks;
-    total_checks += st.checks_run;
+    total_ticks += MuxCounter(cluster, n, "ticks");
+    total_checks += MuxCounter(cluster, n, "checks_run");
     // Cadence amortization: the per-node tick period is derived from
     // check_interval / rounds, never more timers per node.
     EXPECT_GT(cluster.mux(n).tick_interval(), 0.0);
     EXPECT_LE(cluster.mux(n).tick_interval(),
-              opts.mux_options.check_interval);
+              opts.daemon_options.check_interval);
   }
   EXPECT_GT(total_ticks, 0u);
   // All epochs healthy: checks run (duty-holder only) and succeed as
@@ -252,17 +258,17 @@ TEST(ShardedCluster, MuxRunsChecksWithOneTimerPerNode) {
   }
 }
 
-TEST(ShardedCluster, MuxRepairsEpochsAfterCrash) {
-  ShardedClusterOptions opts = Options();
+TEST(ShardedMode, MuxRepairsEpochsAfterCrash) {
+  ClusterOptions opts = Options();
   opts.num_objects = 32;
-  opts.start_epoch_muxes = true;
-  opts.mux_options.check_interval = 200.0;
-  ShardedCluster cluster(opts);
+  opts.start_epoch_daemons = true;
+  opts.daemon_options.check_interval = 200.0;
+  Cluster cluster(opts);
   cluster.RunFor(500);
 
   NodeId dead = 2;
   cluster.Crash(dead);
-  cluster.RunFor(8 * opts.mux_options.check_interval);
+  cluster.RunFor(8 * opts.daemon_options.check_interval);
 
   // Every object homed on the dead node had its lineage shrunk by the
   // duty-holding mux; objects elsewhere stayed at epoch 0.
@@ -289,7 +295,7 @@ TEST(ShardedCluster, MuxRepairsEpochsAfterCrash) {
 
   // After recovery the muxes re-admit the node: lineages grow again.
   cluster.Recover(dead);
-  cluster.RunFor(8 * opts.mux_options.check_interval);
+  cluster.RunFor(8 * opts.daemon_options.check_interval);
   for (ObjectId o = 0; o < cluster.num_objects(); ++o) {
     const NodeSet& home = cluster.HomeNodes(o);
     if (!home.Contains(dead)) continue;
@@ -302,25 +308,25 @@ TEST(ShardedCluster, MuxRepairsEpochsAfterCrash) {
   EXPECT_TRUE(cluster.CheckReplicaConsistency().ok());
 }
 
-TEST(ShardedCluster, MuxMarkDirtyTriggersPromptCheck) {
-  ShardedClusterOptions opts = Options();
+TEST(ShardedMode, MuxMarkDirtyTriggersPromptCheck) {
+  ClusterOptions opts = Options();
   opts.num_objects = 32;
-  opts.start_epoch_muxes = true;
-  opts.mux_options.check_interval = 10000.0;  // Ring pass would take ages.
-  ShardedCluster cluster(opts);
+  opts.start_epoch_daemons = true;
+  opts.daemon_options.check_interval = 10000.0;  // Ring pass would take ages.
+  Cluster cluster(opts);
   ObjectId o = 3;
   // The duty holder is the first live member of the placement ranking.
-  NodeId duty = cluster.table().placement(o).ranking[0];
+  NodeId duty = cluster.table()->placement(o).ranking[0];
   cluster.mux(duty).MarkDirty(o);
   cluster.RunFor(2 * cluster.mux(duty).tick_interval() + 100);
-  EXPECT_GE(cluster.mux(duty).stats().dirty_checks, 1u);
+  EXPECT_GE(MuxCounter(cluster, duty, "dirty_checks"), 1u);
 }
 
-TEST(ShardedCluster, SameSeedSamePlacementFingerprint) {
-  ShardedCluster a(Options());
-  ShardedCluster b(Options());
-  EXPECT_EQ(a.table().Fingerprint(), b.table().Fingerprint());
+TEST(ShardedMode, SameSeedSamePlacementFingerprint) {
+  Cluster a(Options());
+  Cluster b(Options());
+  EXPECT_EQ(a.table()->Fingerprint(), b.table()->Fingerprint());
 }
 
 }  // namespace
-}  // namespace dcp::shard
+}  // namespace dcp::protocol

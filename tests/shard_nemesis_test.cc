@@ -1,5 +1,5 @@
 // Sharded adversarial sweeps: a seeded matrix of partition runs over a
-// 7-node / 64-object cluster (grid and majority coterie classes) in which
+// 7-node / 64-object cluster (grid and majority coteries) in which
 // one node is isolated mid-run. The multiplexed epoch daemons must shrink
 // the lineages of objects homed on the isolated node while every other
 // object's lineage stays untouched — per-object epochs diverge
@@ -16,12 +16,11 @@
 
 #include "analysis/client_history.h"
 #include "analysis/linearize.h"
-#include "shard/sharded_cluster.h"
+#include "protocol/cluster.h"
 
-namespace dcp::shard {
+namespace dcp::protocol {
 namespace {
 
-using protocol::CoterieKind;
 using storage::ObjectId;
 using storage::Update;
 
@@ -31,16 +30,17 @@ constexpr sim::Time kWarmup = 1000;
 constexpr sim::Time kPartitionSpan = 3000;
 constexpr sim::Time kCooldown = 4000;
 
-ShardedClusterOptions SweepOptions(CoterieKind kind, uint64_t seed) {
-  ShardedClusterOptions opts;
+ClusterOptions SweepOptions(CoterieKind kind, uint64_t seed) {
+  ClusterOptions opts;
   opts.num_nodes = kNodes;
   opts.num_objects = kObjects;
+  opts.sharded = true;
   opts.replication_factor = 5;
-  opts.coterie_classes = {kind};
+  opts.coterie = kind;
   opts.seed = seed;
   opts.initial_value = std::vector<uint8_t>(8, 0);
-  opts.start_epoch_muxes = true;
-  opts.mux_options.check_interval = 400;
+  opts.start_epoch_daemons = true;
+  opts.daemon_options.check_interval = 400;
   return opts;
 }
 
@@ -52,7 +52,7 @@ ShardedClusterOptions SweepOptions(CoterieKind kind, uint64_t seed) {
 /// grants.
 class ShardWorkload {
  public:
-  ShardWorkload(ShardedCluster* cluster, uint64_t seed,
+  ShardWorkload(Cluster* cluster, uint64_t seed,
                 analysis::ClientHistory* history)
       // Stream root: the workload arrival/choice RNG, independent of the
       // cluster's seed streams.  // dcp-lint: allow(raw-rng)
@@ -87,7 +87,7 @@ class ShardWorkload {
       analysis::ClientHistory* history = history_;
       sim::Simulator* sim = &cluster_->simulator();
       cluster_->Write(coordinator, object, update,
-                      [history, sim, id](Result<protocol::WriteOutcome> r) {
+                      [history, sim, id](Result<WriteOutcome> r) {
                         if (r.ok()) {
                           history->ReturnWrite(id, sim->Now(),
                                                r.value().version);
@@ -101,7 +101,7 @@ class ShardWorkload {
       analysis::ClientHistory* history = history_;
       sim::Simulator* sim = &cluster_->simulator();
       cluster_->Read(coordinator, object,
-                     [history, sim, id](Result<protocol::ReadOutcome> r) {
+                     [history, sim, id](Result<ReadOutcome> r) {
                        if (r.ok()) {
                          history->ReturnRead(id, sim->Now(),
                                              r.value().version,
@@ -127,7 +127,7 @@ class ShardWorkload {
     }
   }
 
-  ShardedCluster* cluster_;
+  Cluster* cluster_;
   Rng rng_;
   analysis::ClientHistory* history_;
   std::shared_ptr<bool> stopped_;
@@ -136,7 +136,7 @@ class ShardWorkload {
   uint32_t counter_ = 1;
 };
 
-bool RunToQuiescence(ShardedCluster& cluster, sim::Time budget) {
+bool RunToQuiescence(Cluster& cluster, sim::Time budget) {
   const sim::Time slice = 500;
   for (sim::Time spent = 0; spent < budget; spent += slice) {
     cluster.RunFor(slice);
@@ -150,8 +150,8 @@ class ShardedNemesisSweep
 
 TEST_P(ShardedNemesisSweep, LineagesDivergeIndependentlyAndAuditPasses) {
   auto [kind, seed] = GetParam();
-  ShardedClusterOptions opts = SweepOptions(kind, uint64_t(seed));
-  ShardedCluster cluster(opts);
+  ClusterOptions opts = SweepOptions(kind, uint64_t(seed));
+  Cluster cluster(opts);
 
   analysis::ClientHistory history;
   ShardWorkload workload(&cluster, uint64_t(seed) + 5000, &history);
@@ -259,4 +259,4 @@ TEST(ShardedPlacementDeterminism, SameSeedByteIdenticalTable) {
 }
 
 }  // namespace
-}  // namespace dcp::shard
+}  // namespace dcp::protocol

@@ -1,12 +1,11 @@
-#include "shard/placement.h"
+#include "protocol/placement.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 #include <vector>
 
-namespace dcp::shard {
+namespace dcp::protocol {
 namespace {
 
 PlacementOptions DefaultOptions() {
@@ -29,7 +28,6 @@ TEST(ObjectTable, PlacesEveryObjectOnReplicationFactorNodes) {
       EXPECT_TRUE(p.replicas.Contains(n));
     }
     EXPECT_TRUE(p.replicas.IsSubsetOf(table.pool()));
-    EXPECT_EQ(p.coterie_class, 0u);
   }
 }
 
@@ -50,7 +48,6 @@ TEST(ObjectTable, SameSeedSameTable) {
   for (storage::ObjectId o = 0; o < a.num_objects(); ++o) {
     EXPECT_EQ(a.placement(o).replicas, b.placement(o).replicas);
     EXPECT_EQ(a.placement(o).ranking, b.placement(o).ranking);
-    EXPECT_EQ(a.placement(o).coterie_class, b.placement(o).coterie_class);
   }
 }
 
@@ -77,75 +74,25 @@ TEST(ObjectTable, LoadIsRoughlyBalanced) {
   }
 }
 
-TEST(ObjectTable, CoterieClassesCoverAllClasses) {
-  PlacementOptions p = DefaultOptions();
-  p.num_objects = 128;
-  p.num_coterie_classes = 3;
-  ObjectTable table(p);
-  std::set<uint32_t> seen;
-  for (storage::ObjectId o = 0; o < table.num_objects(); ++o) {
-    uint32_t c = table.placement(o).coterie_class;
-    EXPECT_LT(c, 3u);
-    seen.insert(c);
-  }
-  EXPECT_EQ(seen.size(), 3u);
-}
-
-TEST(ObjectTable, RebalanceMovesOnlyAffectedObjects) {
-  PlacementOptions p = DefaultOptions();
-  p.num_objects = 256;
-  ObjectTable table(p);
-  std::vector<NodeSet> before;
-  for (storage::ObjectId o = 0; o < table.num_objects(); ++o) {
-    before.push_back(table.placement(o).replicas);
-  }
-
-  // Remove node 3: only objects that hosted a replica on 3 may move, and
-  // every one of them must (it lost a member).
-  NodeSet smaller = table.pool();
-  smaller.Erase(3);
-  RebalanceRecord rec = table.Rebalance(smaller);
-  EXPECT_EQ(rec.from_epoch, 0u);
-  EXPECT_EQ(rec.to_epoch, 1u);
-  EXPECT_EQ(table.epoch(), 1u);
-
-  uint32_t affected = 0;
-  for (storage::ObjectId o = 0; o < table.num_objects(); ++o) {
-    const NodeSet& now = table.placement(o).replicas;
-    EXPECT_FALSE(now.Contains(3));
-    if (before[o].Contains(3)) {
-      ++affected;
-      EXPECT_FALSE(now == before[o]);
-      // Minimal movement: the survivors stay.
-      NodeSet survivors = before[o];
-      survivors.Erase(3);
-      EXPECT_TRUE(survivors.IsSubsetOf(now)) << "object " << o;
-    } else {
-      EXPECT_EQ(now, before[o]) << "object " << o << " moved needlessly";
-    }
-  }
-  EXPECT_EQ(rec.objects_moved, affected);
-  EXPECT_GT(affected, 0u);
-
-  // Restoring the pool restores the original table exactly (same salt).
-  RebalanceRecord rec2 = table.Rebalance(NodeSet::Universe(7));
-  EXPECT_EQ(rec2.to_epoch, 2u);
-  for (storage::ObjectId o = 0; o < table.num_objects(); ++o) {
-    EXPECT_EQ(table.placement(o).replicas, before[o]);
-  }
-  ASSERT_EQ(table.audit_log().size(), 2u);
-  EXPECT_EQ(table.audit_log()[0].objects_moved, affected);
-}
-
-TEST(ObjectTable, FingerprintTracksEpoch) {
+TEST(ObjectTable, CatalogListsHostedObjectsAndFullDirectory) {
   ObjectTable table(DefaultOptions());
-  uint64_t fp0 = table.Fingerprint();
-  NodeSet smaller = table.pool();
-  smaller.Erase(0);
-  RebalanceRecord rec = table.Rebalance(smaller);
-  EXPECT_NE(table.Fingerprint(), fp0);
-  EXPECT_EQ(rec.fingerprint_after, table.Fingerprint());
+  const std::vector<uint8_t> value = {7, 7};
+  for (NodeId node : table.pool()) {
+    NodeCatalog catalog = table.Catalog(node, value);
+    ASSERT_EQ(catalog.directory.size(), table.num_objects());
+    size_t hosted = 0;
+    for (storage::ObjectId o = 0; o < table.num_objects(); ++o) {
+      EXPECT_EQ(catalog.directory.at(o), table.placement(o).replicas);
+      if (!table.placement(o).replicas.Contains(node)) continue;
+      ASSERT_LT(hosted, catalog.hosted.size());
+      const HostedObjectSpec& spec = catalog.hosted[hosted++];
+      EXPECT_EQ(spec.id, o);
+      EXPECT_EQ(spec.home, table.placement(o).replicas);
+      EXPECT_EQ(spec.initial_value, value);
+    }
+    EXPECT_EQ(hosted, catalog.hosted.size()) << "node " << node;
+  }
 }
 
 }  // namespace
-}  // namespace dcp::shard
+}  // namespace dcp::protocol

@@ -138,7 +138,7 @@ TEST(SocketTransportTest, ShardedMultiObjectClusterOverSockets) {
   o.replication_factor = 3;
   SocketCluster cluster(o);
   ASSERT_TRUE(cluster.Start().ok());
-  const shard::ObjectTable* table = cluster.table();
+  const protocol::ObjectTable* table = cluster.table();
   ASSERT_NE(table, nullptr);
 
   for (storage::ObjectId obj = 0; obj < o.num_objects; ++obj) {
@@ -166,7 +166,7 @@ TEST(SocketTransportTest, ShardedScopedEpochCheckShrinksOneLineage) {
   o.replication_factor = 3;
   SocketCluster cluster(o);
   ASSERT_TRUE(cluster.Start().ok());
-  const shard::ObjectTable* table = cluster.table();
+  const protocol::ObjectTable* table = cluster.table();
   ASSERT_NE(table, nullptr);
 
   // One object homed on node 4, one not — their lineages must move
