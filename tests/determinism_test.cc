@@ -3,9 +3,17 @@
 // counts. This is what makes every other seeded test in the suite (and
 // every bench) reproducible; a stray std::rand(), iteration over an
 // unordered container, or wall-clock read would break it here first.
+//
+// The *IsPinned cases compare digests of seeded runs (group mode with
+// bully daemons and churn, the message nemesis, the durable crash-point
+// nemesis, sharded mode with muxes) against constants. They catch what a
+// same-build comparison cannot: a change that alters a seeded schedule
+// across builds. Each pinned run also re-forms at least one epoch.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -19,6 +27,29 @@
 namespace dcp::protocol {
 namespace {
 
+// FNV-1a folds for the pinned digests below.
+constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ull;
+
+uint64_t Fold(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+uint64_t FoldDouble(uint64_t h, double v) {
+  return Fold(h, std::bit_cast<uint64_t>(v));
+}
+
+uint64_t FoldBytes(uint64_t h, const std::string& bytes) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
 struct RunFingerprint {
   size_t writes;
   size_t reads;
@@ -27,6 +58,7 @@ struct RunFingerprint {
   std::vector<uint64_t> replica_fingerprints;
   uint64_t messages_sent;
   uint64_t events_executed;
+  std::vector<storage::EpochNumber> epochs;  ///< Per node, at the end.
 };
 
 RunFingerprint RunOnce(uint64_t seed) {
@@ -67,6 +99,9 @@ RunFingerprint RunOnce(uint64_t seed) {
   }
   fp.messages_sent = cluster.network().stats().total_sent;
   fp.events_executed = cluster.simulator().events_executed();
+  for (uint32_t i = 0; i < 9; ++i) {
+    fp.epochs.push_back(cluster.node(i).store().epoch_number());
+  }
   return fp;
 }
 
@@ -89,6 +124,25 @@ TEST(Determinism, DifferentSeedsDiverge) {
   EXPECT_NE(a.messages_sent, b.messages_sent);
 }
 
+uint64_t Digest(const RunFingerprint& fp) {
+  uint64_t h = Fold(Fold(kFnvBasis, fp.writes), fp.reads);
+  for (storage::Version v : fp.write_versions) h = Fold(h, v);
+  for (double t : fp.write_times) h = FoldDouble(h, t);
+  for (uint64_t f : fp.replica_fingerprints) h = Fold(h, f);
+  h = Fold(Fold(h, fp.messages_sent), fp.events_executed);
+  for (storage::EpochNumber e : fp.epochs) h = Fold(h, e);
+  return h;
+}
+
+TEST(Determinism, GroupFingerprintIsPinned) {
+  // A change here means seeded group-mode runs (bully daemons, churn,
+  // epoch re-formation) no longer replay byte-identically across builds.
+  RunFingerprint fp = RunOnce(4242);
+  EXPECT_GT(*std::max_element(fp.epochs.begin(), fp.epochs.end()), 0u)
+      << "the pinned run must re-form an epoch";
+  EXPECT_EQ(Digest(fp), 0x6deff0ad060064bbull);
+}
+
 // --- nemesis determinism ---------------------------------------------------
 // The adversarial harness must replay exactly from one seed: identical
 // NetworkStats (including dropped/duplicated/reordered counters), an
@@ -102,6 +156,7 @@ struct NemesisFingerprint {
   std::vector<double> write_times;
   uint64_t events_executed;
   uint64_t churn_failures;
+  storage::EpochNumber max_epoch;
 };
 
 NemesisFingerprint RunNemesisOnce(uint64_t seed) {
@@ -143,6 +198,11 @@ NemesisFingerprint RunNemesisOnce(uint64_t seed) {
   fp.events_executed = cluster.simulator().events_executed();
   fp.churn_failures =
       nemesis.churn() ? nemesis.churn()->failures_injected() : 0;
+  fp.max_epoch = 0;
+  for (uint32_t i = 0; i < 9; ++i) {
+    fp.max_epoch =
+        std::max(fp.max_epoch, cluster.node(i).store().epoch_number());
+  }
   return fp;
 }
 
@@ -180,7 +240,8 @@ std::string FingerprintBytes(const NemesisFingerprint& fp) {
   for (const std::string& d : fp.fault_descriptions) os << d << '\n';
   for (storage::Version v : fp.write_versions) os << v << '\n';
   for (double t : fp.write_times) os << t << '\n';
-  os << fp.events_executed << '|' << fp.churn_failures << '\n';
+  os << fp.events_executed << '|' << fp.churn_failures << '|'
+     << fp.max_epoch << '\n';
   return std::move(os).str();
 }
 
@@ -200,19 +261,77 @@ TEST(Determinism, NemesisDifferentSeedsDiverge) {
   EXPECT_NE(a.fault_descriptions, b.fault_descriptions);
 }
 
+TEST(Determinism, NemesisFingerprintIsPinned) {
+  NemesisFingerprint fp = RunNemesisOnce(909);
+  EXPECT_GT(fp.max_epoch, 0u) << "the pinned run must re-form an epoch";
+  EXPECT_EQ(FoldBytes(kFnvBasis, FingerprintBytes(fp)), 0xb9c5f4d32f8e72e6ull);
+}
+
+// --- durable determinism ---------------------------------------------------
+// The crash-point nemesis over the WAL engine (simulated disk, torn tails,
+// checkpoints), folded into one digest: events executed, every acked
+// write, each node's replica and epoch, the engine's counters and the
+// delivered-message count.
+
+uint64_t RunDurableOnce(uint64_t seed) {
+  ClusterOptions opts;
+  opts.num_nodes = 9;
+  opts.coterie = CoterieKind::kGrid;
+  opts.seed = seed;
+  opts.initial_value = std::vector<uint8_t>(32, 0);
+  opts.start_epoch_daemons = true;
+  opts.daemon_options.check_interval = 300;
+  opts.fault_model.global.drop = 0.05;
+  opts.fault_model.global.duplicate = 0.05;
+  opts.fault_model.global.reorder = 0.10;
+  opts.durability.enabled = true;
+  opts.durability.crash.tear_probability = 0.5;
+  opts.durability.checkpoint_threshold_bytes = 4096;
+  Cluster cluster(opts);
+
+  harness::Nemesis nemesis(
+      &cluster, harness::CrashPointScenario(seed + 17, 9, 12000));
+  harness::WorkloadDriver::Options wopts;
+  wopts.arrival_rate = 0.01;
+  wopts.seed = seed + 2;
+  harness::WorkloadDriver workload(&cluster, wopts);
+
+  cluster.RunFor(12000);
+  workload.Stop();
+  nemesis.StopAndHeal();
+  cluster.RunFor(8000);
+
+  uint64_t h = Fold(kFnvBasis, cluster.simulator().events_executed());
+  for (const auto& w : cluster.history().writes()) {
+    h = FoldDouble(Fold(h, w.version), w.decided_at);
+  }
+  storage::EpochNumber max_epoch = 0;
+  for (uint32_t i = 0; i < 9; ++i) {
+    const storage::ReplicaStore& s = cluster.node(i).store();
+    max_epoch = std::max(max_epoch, s.epoch_number());
+    h = Fold(Fold(h, s.version()), s.epoch_number());
+    for (NodeId m : s.epoch_list()) h = Fold(h, m);
+    h = Fold(h, s.object().Fingerprint());
+  }
+  EXPECT_GT(max_epoch, 0u) << "the pinned run must re-form an epoch";
+  EXPECT_GT(cluster.metrics().counter("store.recoveries")->value(), 0u);
+  for (const char* name : {"disk.crashes", "disk.torn_tails", "wal.records",
+                           "store.recoveries", "store.recovered_records",
+                           "store.checkpoints"}) {
+    h = Fold(h, cluster.metrics().counter(name)->value());
+  }
+  return Fold(h, cluster.network().stats().total_delivered);
+}
+
+TEST(Determinism, DurableFingerprintIsPinned) {
+  EXPECT_EQ(RunDurableOnce(4242), 0xc664d14567136863ull);
+}
+
 // --- sharded determinism ---------------------------------------------------
 // A sharded Cluster with the multiplexed epoch daemons on, through a crash
 // and recovery, folded into one 64-bit digest: simulator events executed,
 // every home replica's (version, epoch number, epoch list, data
 // fingerprint) and the network's delivered-message count.
-
-uint64_t Fold(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
 
 uint64_t RunShardedOnce(uint64_t seed) {
   ClusterOptions opts;
@@ -244,17 +363,20 @@ uint64_t RunShardedOnce(uint64_t seed) {
   EXPECT_TRUE(cluster.CheckReplicaConsistency().ok());
   EXPECT_TRUE(cluster.CheckHistory().ok());
 
-  uint64_t h = 0xCBF29CE484222325ull;
+  uint64_t h = kFnvBasis;
   h = Fold(h, cluster.simulator().events_executed());
+  storage::EpochNumber max_epoch = 0;
   for (storage::ObjectId o = 0; o < 64; ++o) {
     for (NodeId n : cluster.HomeNodes(o)) {
       const storage::ReplicaStore& s = cluster.node(n).store(o);
+      max_epoch = std::max(max_epoch, s.epoch_number());
       h = Fold(h, s.version());
       h = Fold(h, s.epoch_number());
       for (NodeId m : s.epoch_list()) h = Fold(h, m);
       h = Fold(h, s.object().Fingerprint());
     }
   }
+  EXPECT_GT(max_epoch, 0u) << "the pinned run must re-form a lineage";
   return Fold(h, cluster.network().stats().total_delivered);
 }
 
