@@ -9,6 +9,7 @@
 // cost of wounding younger operations mid-flight.
 
 #include <cstdio>
+#include <string>
 
 #include "harness/workload.h"
 #include "protocol/cluster.h"
@@ -49,8 +50,9 @@ Row Run(LockPolicy policy, double arrival_rate) {
   row.steals = 0;
   row.conflicts = 0;
   for (uint32_t i = 0; i < 9; ++i) {
-    row.steals += cluster.node(i).stats().lock_steals;
-    row.conflicts += cluster.node(i).stats().lock_conflicts;
+    const std::string p = "node." + std::to_string(i) + ".";
+    row.steals += cluster.metrics().counter(p + "lock_steals")->value();
+    row.conflicts += cluster.metrics().counter(p + "lock_conflicts")->value();
   }
   Status history = cluster.CheckHistory();
   if (!history.ok()) {

@@ -80,7 +80,7 @@ bool Dispatch(Cluster& cluster, const std::string& line) {
       std::printf("usage: read <coord>\n");
       return true;
     }
-    auto r = cluster.ReadSyncRetry(coord);
+    auto r = cluster.ReadSyncRetry(coord, 0);
     if (r.ok()) {
       std::printf("v%llu \"%s\"\n",
                   static_cast<unsigned long long>(r->version),

@@ -115,7 +115,7 @@ int DurabilityAct() {
               cluster.node(0).has_staged_transaction() ? "yes" : "no");
 
   auto w = cluster.WriteSyncRetry(0, Update::Partial(1, {'z'}));
-  auto r = cluster.ReadSyncRetry(0);
+  auto r = cluster.ReadSyncRetry(0, 0);
   std::printf("post-recovery write: %s, read: v%llu\n",
               w.ok() ? "committed" : w.status().ToString().c_str(),
               r.ok() ? static_cast<unsigned long long>(r->version) : 0ULL);
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
   cluster.RunFor(4000);
   PrintEpochs(cluster);
 
-  auto r = cluster.ReadSyncRetry(4);
+  auto r = cluster.ReadSyncRetry(4, 0);
   std::printf("\nread from ex-minority node 4: %s v%llu\n",
               r.ok() ? "ok" : r.status().ToString().c_str(),
               r.ok() ? static_cast<unsigned long long>(r->version) : 0ULL);

@@ -49,7 +49,7 @@ int main() {
 
   // 3. Read from a different coordinator; the read quorum is guaranteed
   //    to intersect every write quorum, so it sees the new version.
-  auto r = cluster.ReadSyncRetry(5);
+  auto r = cluster.ReadSyncRetry(5, 0);
   std::printf("read from node 5: v%llu \"%s\"\n",
               static_cast<unsigned long long>(r->version),
               Text(r->data).c_str());

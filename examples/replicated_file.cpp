@@ -102,7 +102,7 @@ int main() {
                   cluster.node(0).store().version()));
 
   // Phase 4: a reader validates the file contents block by block.
-  auto r = cluster.ReadSyncRetry(7);
+  auto r = cluster.ReadSyncRetry(7, 0);
   if (!r.ok()) {
     std::printf("read failed: %s\n", r.status().ToString().c_str());
     return 1;

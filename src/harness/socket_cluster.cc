@@ -59,26 +59,18 @@ SocketCluster::SocketCluster(SocketClusterOptions options)
   std::vector<uint8_t> value = options_.initial_value;
   if (value.empty()) value = {0};
   const NodeSet all = NodeSet::Universe(options_.num_nodes);
-  nodes_.reserve(options_.num_nodes);
-
+  const uint32_t num_objects = std::max<uint32_t>(options_.num_objects, 1);
   if (options_.sharded) {
     table_ = std::make_unique<protocol::ObjectTable>(protocol::PlacementOptions{
-        options_.num_nodes, std::max<uint32_t>(options_.num_objects, 1),
-        options_.replication_factor, options_.placement_seed});
-    for (uint32_t i = 0; i < options_.num_nodes; ++i) {
-      protocol::NodeCatalog catalog = table_->Catalog(i, value);
-      nodes_.push_back(std::make_unique<protocol::ReplicaNode>(
-          &transport_, NodeId{i}, all, rule_.get(), std::move(catalog.hosted),
-          std::move(catalog.directory), options_.node_options));
-    }
-    return;
+        options_.num_nodes, num_objects, options_.replication_factor,
+        options_.placement_seed});
   }
-
-  std::vector<std::vector<uint8_t>> values(
-      std::max<uint32_t>(options_.num_objects, 1), value);
+  const protocol::Catalog catalog =
+      protocol::BuildCatalog(all, num_objects, table_.get());
+  nodes_.reserve(options_.num_nodes);
   for (uint32_t i = 0; i < options_.num_nodes; ++i) {
     nodes_.push_back(std::make_unique<protocol::ReplicaNode>(
-        &transport_, NodeId{i}, all, rule_.get(), values,
+        &transport_, NodeId{i}, all, rule_.get(), catalog, value,
         options_.node_options));
   }
 }
@@ -134,26 +126,13 @@ Result<ReadOutcome> SocketCluster::ReadSync(NodeId coordinator,
       Status::TimedOut("socket read exceeded the harness budget"));
 }
 
-Status SocketCluster::CheckEpochSync(NodeId initiator) {
-  auto promise = std::make_shared<std::promise<Status>>();
-  auto future = promise->get_future();
-  protocol::ReplicaNode* node = nodes_[initiator].get();
-  transport_.runtime(initiator)->Schedule(0, [node, promise] {
-    protocol::StartEpochCheck(
-        node, [promise](Status s) { promise->set_value(std::move(s)); });
-  });
-  return AwaitOr<Status>(
-      std::move(future), options_.op_timeout_ms,
-      Status::TimedOut("socket epoch check exceeded the harness budget"));
-}
-
-Status SocketCluster::CheckObjectEpochSync(NodeId initiator,
-                                           storage::ObjectId object) {
+Status SocketCluster::CheckEpochSync(NodeId initiator,
+                                     storage::ObjectId object) {
   auto promise = std::make_shared<std::promise<Status>>();
   auto future = promise->get_future();
   protocol::ReplicaNode* node = nodes_[initiator].get();
   transport_.runtime(initiator)->Schedule(0, [node, object, promise] {
-    protocol::StartObjectEpochCheck(
+    protocol::StartEpochCheck(
         node, object,
         [promise](Status s) { promise->set_value(std::move(s)); });
   });

@@ -22,7 +22,7 @@ struct SocketClusterOptions {
   /// Sharded deployment: place each object onto a `replication_factor`
   /// subset of the pool (protocol::ObjectTable, seeded by `placement_seed`)
   /// and give it its own epoch lineage. Write/Read route the same; epoch
-  /// checks must be per-object (CheckObjectEpochSync).
+  /// checks are per object (CheckEpochSync(initiator, object)).
   bool sharded = false;
   uint32_t replication_factor = 3;
   uint64_t placement_seed = 7;
@@ -97,11 +97,10 @@ class SocketCluster {
   }
   [[nodiscard]] Result<protocol::ReadOutcome> ReadSync(
       NodeId coordinator, storage::ObjectId object = 0);
-  [[nodiscard]] Status CheckEpochSync(NodeId initiator);
-  /// Scoped epoch check for sharded deployments (the group-wide
-  /// CheckEpochSync is rejected by sharded nodes).
-  [[nodiscard]] Status CheckObjectEpochSync(NodeId initiator,
-                                            storage::ObjectId object);
+  /// Epoch check of the lineage that owns `object` (the group-wide one
+  /// in group mode).
+  [[nodiscard]] Status CheckEpochSync(NodeId initiator,
+                                      storage::ObjectId object = 0);
 
   /// The placement table of a sharded deployment; null in group mode.
   [[nodiscard]] const protocol::ObjectTable* table() const {

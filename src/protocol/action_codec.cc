@@ -32,9 +32,9 @@ std::vector<uint8_t> EncodeStagedAction(const StagedAction& action) {
   // Group-mode actions never emit it, so their encoding — and every WAL /
   // checkpoint byte derived from it — is unchanged from the pre-sharding
   // format.
-  if (action.epoch_scoped) {
+  if (action.epoch_scope) {
     w.Bool(true);
-    w.U32(action.epoch_object);
+    w.U32(*action.epoch_scope);
   }
   return w.Take();
 }
@@ -61,11 +61,11 @@ bool DecodeStagedAction(const std::vector<uint8_t>& blob,
     oa.propagate_to = GetNodeSet(r);
     action->objects.push_back(std::move(oa));
   }
-  action->epoch_scoped = false;
-  action->epoch_object = 0;
+  action->epoch_scope.reset();
   if (r.ok() && r.remaining() > 0) {
-    action->epoch_scoped = r.Bool();
-    action->epoch_object = r.U32();
+    bool scoped = r.Bool();
+    ObjectId object = r.U32();
+    if (scoped) action->epoch_scope = object;
   }
   return r.ok() && r.remaining() == 0;
 }

@@ -56,6 +56,7 @@ Cluster::Cluster(ClusterOptions options)
   if (!options_.fault_model.trivial()) {
     network_->set_fault_model(options_.fault_model);
   }
+  const Catalog catalog = BuildCatalog(all_, num_objects_, table_.get());
   nodes_.reserve(options_.num_nodes);
   for (uint32_t i = 0; i < options_.num_nodes; ++i) {
     ReplicaNodeOptions node_options = options_.node_options;
@@ -66,18 +67,9 @@ Cluster::Cluster(ClusterOptions options)
       node_options.durability.crash.seed =
           options_.seed ^ (0x9E3779B97F4A7C15ull * (i + 1));
     }
-    if (table_) {
-      NodeCatalog catalog = table_->Catalog(i, options_.initial_value);
-      nodes_.push_back(std::make_unique<ReplicaNode>(
-          network_.get(), i, all_, rule_.get(), std::move(catalog.hosted),
-          std::move(catalog.directory), node_options));
-    } else {
-      nodes_.push_back(std::make_unique<ReplicaNode>(
-          network_.get(), i, all_, rule_.get(),
-          std::vector<std::vector<uint8_t>>(num_objects_,
-                                            options_.initial_value),
-          node_options));
-    }
+    nodes_.push_back(std::make_unique<ReplicaNode>(
+        network_.get(), i, all_, rule_.get(), catalog, options_.initial_value,
+        node_options));
   }
   if (!options_.start_epoch_daemons) return;
   for (uint32_t i = 0; i < options_.num_nodes; ++i) {
@@ -134,13 +126,9 @@ void Cluster::TxnWrite(NodeId coordinator, std::vector<TxnWriteSpec> specs,
       std::move(done));
 }
 
-void Cluster::CheckEpoch(NodeId initiator, EpochCheckDone done) {
-  StartEpochCheck(&node(initiator), std::move(done));
-}
-
-void Cluster::CheckObjectEpoch(NodeId initiator, storage::ObjectId object,
-                               EpochCheckDone done) {
-  StartObjectEpochCheck(&node(initiator), object, std::move(done));
+void Cluster::CheckEpoch(NodeId initiator, storage::ObjectId object,
+                         EpochCheckDone done) {
+  StartEpochCheck(&node(initiator), object, std::move(done));
 }
 
 template <typename T, typename Start>
@@ -193,17 +181,10 @@ Result<TxnWriteOutcome> Cluster::TxnWriteSync(
       "simulation drained before txn completed");
 }
 
-Status Cluster::CheckEpochSync(NodeId initiator) {
-  return RunSync<Status>(
-      [&](EpochCheckDone done) { CheckEpoch(initiator, std::move(done)); },
-      "simulation drained before epoch check completed");
-}
-
-Status Cluster::CheckObjectEpochSync(NodeId initiator,
-                                     storage::ObjectId object) {
+Status Cluster::CheckEpochSync(NodeId initiator, storage::ObjectId object) {
   return RunSync<Status>(
       [&](EpochCheckDone done) {
-        CheckObjectEpoch(initiator, object, std::move(done));
+        CheckEpoch(initiator, object, std::move(done));
       },
       "simulation drained before epoch check completed");
 }

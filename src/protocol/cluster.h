@@ -63,7 +63,7 @@ struct ClusterOptions {
   /// Sharded deployment: place each object onto a `replication_factor`
   /// subset of the nodes (an ObjectTable seeded by `seed`) and give it its
   /// own epoch lineage. Epoch checks are then per object
-  /// (CheckObjectEpoch).
+  /// (CheckEpoch(initiator, object)).
   bool sharded = false;
   uint32_t replication_factor = 3;
   CoterieKind coterie = CoterieKind::kGrid;
@@ -153,11 +153,10 @@ class Cluster {
   /// Cross-object transaction: every spec commits or none does.
   void TxnWrite(NodeId coordinator, std::vector<TxnWriteSpec> specs,
                 TxnWriteDone done);
-  /// Group-wide epoch check (group mode).
-  void CheckEpoch(NodeId initiator, EpochCheckDone done);
-  /// Epoch check of one object's lineage (sharded mode).
-  void CheckObjectEpoch(NodeId initiator, storage::ObjectId object,
-                        EpochCheckDone done);
+  /// Epoch check of the lineage that owns `object` (the group-wide one
+  /// in group mode).
+  void CheckEpoch(NodeId initiator, storage::ObjectId object,
+                  EpochCheckDone done);
 
   // --- synchronous wrappers: run the simulation until the operation
   //     completes (events after completion stay queued). ---
@@ -172,9 +171,8 @@ class Cluster {
                                storage::ObjectId object = 0);
   [[nodiscard]] Result<TxnWriteOutcome> TxnWriteSync(
       NodeId coordinator, std::vector<TxnWriteSpec> specs);
-  [[nodiscard]] Status CheckEpochSync(NodeId initiator);
-  [[nodiscard]] Status CheckObjectEpochSync(NodeId initiator,
-                                            storage::ObjectId object);
+  [[nodiscard]] Status CheckEpochSync(NodeId initiator,
+                                      storage::ObjectId object = 0);
 
   /// WriteSync with bounded retries on lock conflicts (randomized
   /// backoff); the usual way clients drive writes.
@@ -188,13 +186,7 @@ class Cluster {
   }
   [[nodiscard]] Result<ReadOutcome> ReadSyncRetry(NodeId coordinator,
                                     storage::ObjectId object,
-                                    int max_attempts);
-  /// Reads object 0: the second argument is `max_attempts`, so reads of
-  /// another object must use the three-argument form.
-  [[nodiscard]] Result<ReadOutcome> ReadSyncRetry(NodeId coordinator,
-                                    int max_attempts = 10) {
-    return ReadSyncRetry(coordinator, 0, max_attempts);
-  }
+                                    int max_attempts = 10);
 
   // --- fault injection ---
   void Crash(NodeId id);

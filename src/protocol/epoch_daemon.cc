@@ -68,7 +68,7 @@ void EpochDaemon::Tick() {
                          [](net::GatherResult) {});
     if (!check_in_flight_) {
       check_in_flight_ = true;
-      StartEpochCheck(node_, [this](Status s) {
+      StartEpochCheck(node_, /*object=*/0, [this](Status s) {
         check_in_flight_ = false;
         if (s.ok()) {
           counters_.checks_run->Increment();

@@ -101,7 +101,7 @@ void EpochMux::MaybeCheck(storage::ObjectId object, bool from_dirty) {
       .labeled_counter("shard.mux.object_checks", std::to_string(object),
                        kMetricCap)
       ->Increment();
-  StartObjectEpochCheck(node_, object, [this, object](Status s) {
+  StartEpochCheck(node_, object, [this, object](Status s) {
     in_flight_.erase(object);
     if (s.ok()) {
       checks_ok_->Increment();

@@ -2,6 +2,7 @@
 #define DCP_PROTOCOL_MESSAGES_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,13 @@ using storage::LockOwner;
 using storage::ObjectId;
 using storage::Update;
 using storage::Version;
+
+/// Names an epoch lineage. nullopt is the group-wide lineage: every
+/// object on the same node set shares one epoch (Section 2: "the epoch
+/// management can be done per this whole group of data"). An object id
+/// names that object's private lineage (partial replication: each object
+/// has its own replica set).
+using LineageScope = std::optional<ObjectId>;
 
 /// Wire names of every request type. Also the keys under which the
 /// traffic benches report per-type message counts.
@@ -133,21 +141,17 @@ struct ObjectAction {
 
 /// What a participant is asked to stage. One transaction covers writes
 /// ("do-update" / "mark-stale" on one or more objects) and epoch changes
-/// ("new-epoch" for the whole group plus per-object stale marking), so
-/// the epoch-check cost is amortized over every object of the group.
+/// ("new-epoch" for a whole lineage plus per-object stale marking), so
+/// the epoch-check cost is amortized over every object of the lineage.
 struct StagedAction {
-  /// Install a new epoch ("new-epoch") — affects all objects of the
-  /// group, or exactly `epoch_object` when `epoch_scoped` is set.
+  /// Install a new epoch ("new-epoch") on the lineage `epoch_scope`
+  /// names. A scoped install rides in a backward-compatible trailer of
+  /// the action encoding: a group-wide one encodes byte-identically to
+  /// the pre-sharding format.
   bool install_epoch = false;
   EpochNumber epoch_number = 0;
   NodeSet epoch_list;
-
-  /// Sharded deployments give every object its own epoch lineage; a
-  /// scoped install touches only `epoch_object`. The fields ride in a
-  /// backward-compatible trailer of the action encoding: a group-mode
-  /// action encodes byte-identically to the pre-sharding format.
-  bool epoch_scoped = false;
-  ObjectId epoch_object = 0;
+  LineageScope epoch_scope;
 
   std::vector<ObjectAction> objects;
 };
@@ -186,15 +190,13 @@ struct OutcomeResponse : net::Payload {
 
 // --- epoch checking --------------------------------------------------------
 
-/// "epoch-checking-request": report state; no lock taken (the subsequent
-/// epoch install is what locks, via 2PC prepare). One poll covers every
-/// object of the group — or, when `scoped` is set (sharded deployments,
-/// where each object has its own epoch lineage), exactly `object`. The
-/// scoped fields are a backward-compatible wire trailer: an unscoped
-/// request encodes byte-identically to the pre-sharding format.
+/// "epoch-checking-request": report the epoch of the lineage `scope`
+/// names and the state of every object it owns here; no lock taken (the
+/// subsequent epoch install is what locks, via 2PC prepare). The scope is
+/// a backward-compatible wire trailer: a group-wide poll encodes
+/// byte-identically to the pre-sharding format.
 struct EpochPollRequest : net::Payload {
-  bool scoped = false;
-  ObjectId object = 0;
+  LineageScope scope;
 };
 
 struct EpochPollResponse : net::Payload {

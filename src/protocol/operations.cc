@@ -119,11 +119,8 @@ class WriteOp : public std::enable_shared_from_this<WriteOp> {
     sim->tracer().BeginSpan("op", "write", node_->self(), span_id_,
                             {{"object", std::to_string(object_)}});
     uint64_t selector = SelectorFor(owner_.coordinator, owner_.operation_id);
-    // Group mode: epoch_hint/universe are the shared epoch and the whole
-    // cluster — identical to the pre-sharding behavior. Sharded: the
-    // object's own lineage and home set.
     Result<NodeSet> quorum = node_->rule().WriteQuorum(
-        node_->epoch_hint(object_).list, selector);
+        node_->epoch(object_).list, selector);
     if (!quorum.ok()) {
       Complete(quorum.status());
       return;
@@ -398,7 +395,7 @@ class ReadOp : public std::enable_shared_from_this<ReadOp> {
                             {{"object", std::to_string(object_)}});
     uint64_t selector = SelectorFor(owner_.coordinator, owner_.operation_id);
     Result<NodeSet> quorum = node_->rule().ReadQuorum(
-        node_->epoch_hint(object_).list, selector);
+        node_->epoch(object_).list, selector);
     if (!quorum.ok()) {
       Complete(quorum.status());
       return;
@@ -604,7 +601,7 @@ class TxnWriteOp : public std::enable_shared_from_this<TxnWriteOp> {
     ObjectId object = specs_[idx].object;
     uint64_t selector = SelectorFor(owner_.coordinator, owner_.operation_id);
     Result<NodeSet> quorum = node_->rule().WriteQuorum(
-        node_->epoch_hint(object).list, selector);
+        node_->epoch(object).list, selector);
     auto self = shared_from_this();
     if (!quorum.ok()) {
       // The hint was unusable (e.g. a degenerate epoch list); go straight
@@ -779,12 +776,10 @@ class TxnWriteOp : public std::enable_shared_from_this<TxnWriteOp> {
 
 class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
  public:
-  /// `scoped` empty: the group-wide check (shared epoch, whole node set).
-  /// `scoped` set: per-object lineage check over the object's home set,
-  /// used by sharded deployments — same analysis, different universe.
-  EpochCheckOp(ReplicaNode* node, std::optional<ObjectId> scoped,
-               EpochCheckDone done)
-      : node_(node), scoped_(scoped), done_(std::move(done)) {
+  /// Checks the lineage that owns `object`: polls its members and, on a
+  /// membership change, installs the new epoch on that lineage.
+  EpochCheckOp(ReplicaNode* node, ObjectId object, EpochCheckDone done)
+      : node_(node), home_(node->home(object)), done_(std::move(done)) {
     owner_.coordinator = node_->self();
     owner_.operation_id = node_->NextOperationId();
     span_id_ = OpSpanId(owner_);
@@ -794,19 +789,14 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
     rt::Runtime* sim = node_->runtime();
     sim->metrics().counter("epoch.checks_started")->Increment();
     std::vector<std::pair<std::string, std::string>> tags;
-    if (scoped_) tags.push_back({"object", std::to_string(*scoped_)});
+    if (home_.scope) tags.push_back({"object", std::to_string(*home_.scope)});
     sim->tracer().BeginSpan("epoch", "epoch.check", node_->self(), span_id_,
                             tags);
     auto poll = std::make_shared<EpochPollRequest>();
-    if (scoped_) {
-      poll->scoped = true;
-      poll->object = *scoped_;
-    }
-    const NodeSet& targets =
-        scoped_ ? node_->universe(*scoped_) : node_->all_nodes();
+    poll->scope = home_.scope;
     auto self = shared_from_this();
     net::MulticastGather(
-        &node_->rpc(), targets, msg::kEpochPoll, poll,
+        &node_->rpc(), home_.members, msg::kEpochPoll, poll,
         [self](GatherResult g) {
           std::map<NodeId, EpochPollResponse> responded;
           for (auto& [node, r] : g.replies) {
@@ -824,8 +814,7 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
       Complete(Status::Unavailable("no replica responded to the epoch poll"));
       return;
     }
-    // The epoch part of the analysis spans the whole group (or, scoped,
-    // the object's home set).
+    // The epoch part of the analysis spans the lineage's members.
     EpochNumber max_epoch = 0;
     NodeSet max_epoch_list;
     NodeSet new_epoch;
@@ -848,7 +837,7 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
     }
 
     // Per-object analysis: the new epoch may only be installed if EVERY
-    // object of the group has a current replica among the respondents.
+    // object of the lineage has a current replica among the respondents.
     // (Skipping the stale marking for just one object would leave
     // obsolete non-stale replicas inside the new epoch, breaking the
     // Lemma 3 argument for that object; the pseudocode's guard is the
@@ -886,7 +875,7 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
       }
     }
 
-    // One 2PC installs the epoch for the whole group and carries each
+    // One 2PC installs the epoch for the whole lineage and carries each
     // object's mark-stale / propagation duty — the amortization the
     // paper promises for data items sharing a node set.
     std::map<NodeId, StagedAction> actions;
@@ -895,10 +884,7 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
       act.install_epoch = true;
       act.epoch_number = max_epoch + 1;
       act.epoch_list = new_epoch;
-      if (scoped_) {
-        act.epoch_scoped = true;
-        act.epoch_object = *scoped_;
-      }
+      act.epoch_scope = home_.scope;
       for (const auto& [object, oa] : by_object) {
         ObjectAction obj;
         obj.object = object;
@@ -933,7 +919,7 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
   }
 
   ReplicaNode* node_;
-  std::optional<ObjectId> scoped_;
+  ObjectHome home_;
   EpochCheckDone done_;
   LockOwner owner_;
   uint64_t span_id_ = 0;
@@ -955,14 +941,8 @@ void StartRead(ReplicaNode* node, storage::ObjectId object,
   op->Start();
 }
 
-void StartEpochCheck(ReplicaNode* node, EpochCheckDone done) {
-  auto op =
-      std::make_shared<EpochCheckOp>(node, std::nullopt, std::move(done));
-  op->Start();
-}
-
-void StartObjectEpochCheck(ReplicaNode* node, storage::ObjectId object,
-                           EpochCheckDone done) {
+void StartEpochCheck(ReplicaNode* node, storage::ObjectId object,
+                     EpochCheckDone done) {
   auto op = std::make_shared<EpochCheckOp>(node, object, std::move(done));
   op->Start();
 }

@@ -76,24 +76,20 @@ inline void StartRead(ReplicaNode* node, HistoryRecorder* history,
   StartRead(node, 0, history, std::move(done));
 }
 
-/// The epoch-checking operation (Section 4.3 / Appendix CheckEpoch):
-/// polls all replicas; if the respondents include a write quorum over the
+/// The epoch-checking operation (Section 4.3 / Appendix CheckEpoch) on
+/// the lineage that owns `object` (the group-wide lineage in a group
+/// deployment, the object's own lineage when sharded): polls the
+/// lineage's members; if the respondents include a write quorum over the
 /// newest epoch among them and differ from it, atomically installs the
-/// respondents as the new epoch (2PC), marking out-of-date members stale
-/// and putting the current ones on propagation duty.
+/// respondents as the lineage's new epoch (2PC), marking out-of-date
+/// members stale and putting the current ones on propagation duty.
+/// Independent lineages therefore diverge and heal independently.
 ///
 /// Returns OK both when the epoch changed and when no change was needed;
-/// kUnavailable when no quorum of the newest epoch responded (the data
-/// object is stuck until enough of its last epoch returns).
-void StartEpochCheck(ReplicaNode* node, EpochCheckDone done);
-
-/// Per-object epoch check for sharded deployments: same analysis as
-/// StartEpochCheck but scoped to `object`'s home set and its own epoch
-/// lineage — the poll, the quorum rule and the installed epoch all refer
-/// to that object only, so independent objects' lineages diverge and heal
-/// independently under partitions.
-void StartObjectEpochCheck(ReplicaNode* node, storage::ObjectId object,
-                           EpochCheckDone done);
+/// kUnavailable when no quorum of the newest epoch responded (the
+/// lineage is stuck until enough of its last epoch returns).
+void StartEpochCheck(ReplicaNode* node, storage::ObjectId object,
+                     EpochCheckDone done);
 
 /// One write of a multi-object transaction.
 struct TxnWriteSpec {

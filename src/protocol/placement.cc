@@ -81,15 +81,13 @@ uint64_t ObjectTable::Fingerprint() const {
   return h;
 }
 
-NodeCatalog ObjectTable::Catalog(
-    NodeId node, const std::vector<uint8_t>& initial_value) const {
-  NodeCatalog catalog;
-  for (storage::ObjectId o = 0; o < options_.num_objects; ++o) {
-    const NodeSet& home = placements_[o].replicas;
-    catalog.directory.emplace_hint(catalog.directory.end(), o, home);
-    if (home.Contains(node)) {
-      catalog.hosted.push_back(HostedObjectSpec{o, home, initial_value});
-    }
+Catalog BuildCatalog(const NodeSet& pool, uint32_t num_objects,
+                     const ObjectTable* table) {
+  Catalog catalog;
+  for (storage::ObjectId o = 0; o < num_objects; ++o) {
+    ObjectHome home = table ? ObjectHome{o, table->placement(o).replicas}
+                            : ObjectHome{std::nullopt, pool};
+    catalog.emplace_hint(catalog.end(), o, std::move(home));
   }
   return catalog;
 }

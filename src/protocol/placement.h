@@ -28,14 +28,6 @@ struct ObjectPlacement {
   std::vector<NodeId> ranking;  ///< Replicas in rendezvous order (best first).
 };
 
-/// What one node is built from in a sharded deployment: the objects it
-/// hosts, and every object's home set (so it can coordinate operations
-/// on objects it does not host).
-struct NodeCatalog {
-  std::vector<HostedObjectSpec> hosted;
-  std::map<storage::ObjectId, NodeSet> directory;
-};
-
 /// Deterministic object table: rendezvous (highest-random-weight) hashing
 /// over the node pool. The per-(object, node) scores are derived from a
 /// single salt drawn once from the seeded placement root, so two tables
@@ -59,11 +51,6 @@ class ObjectTable {
   /// for protocol purposes.
   [[nodiscard]] uint64_t Fingerprint() const;
 
-  /// The catalog `node` is built from: one spec per object homed on it
-  /// (born with `initial_value`), plus the full placement directory.
-  [[nodiscard]] NodeCatalog Catalog(
-      NodeId node, const std::vector<uint8_t>& initial_value) const;
-
  private:
   uint64_t Score(storage::ObjectId object, NodeId node) const;
 
@@ -72,6 +59,13 @@ class ObjectTable {
   NodeSet pool_;
   std::vector<ObjectPlacement> placements_;
 };
+
+/// The catalog every node of a deployment is built from (see
+/// ReplicaNode), covering objects [0, num_objects). With `table`, each
+/// object is its own lineage over its placement home set (sharded);
+/// without one, all objects form one group-wide lineage over `pool`.
+[[nodiscard]] Catalog BuildCatalog(const NodeSet& pool, uint32_t num_objects,
+                                   const ObjectTable* table);
 
 }  // namespace dcp::protocol
 

@@ -180,9 +180,9 @@ bool PutPayload(ByteWriter& w, const net::PayloadPtr& p) {
     w.U8(static_cast<uint8_t>(Body::kEpochPollRequest));
     // Backward-compatible trailer: only scoped polls (per-object epoch
     // lineages) carry a scope; an unscoped poll stays a bare tag byte.
-    if (v->scoped) {
+    if (v->scope) {
       w.Bool(true);
-      w.U32(v->object);
+      w.U32(*v->scope);
     }
     return true;
   }
@@ -324,8 +324,9 @@ net::PayloadPtr GetPayload(ByteReader& r, bool* ok) {
     case Body::kEpochPollRequest: {
       auto v = std::make_shared<EpochPollRequest>();
       if (r.ok() && r.remaining() > 0) {
-        v->scoped = r.Bool();
-        v->object = r.U32();
+        bool scoped = r.Bool();
+        ObjectId object = r.U32();
+        if (scoped) v->scope = object;
       }
       return v;
     }

@@ -20,9 +20,9 @@ using EpochNumber = uint64_t;
 /// epoch management can be done per this whole group of data").
 using ObjectId = uint32_t;
 
-/// The shared epoch record of a replica group at one node. Every
-/// object's ReplicaStore on that node references the same record, so an
-/// epoch change is a single state transition covering the whole group.
+/// The epoch record of one epoch lineage at one node. The ReplicaStore of
+/// every object the lineage owns references the same record, so an epoch
+/// change is a single state transition covering the whole lineage.
 struct EpochRecord {
   EpochNumber number = 0;
   NodeSet list;
@@ -63,8 +63,8 @@ class ReplicaStore {
                          EpochRecord{0, std::move(initial_epoch)}),
                      std::move(initial_value)) {}
 
-  /// Group deployment: the object shares `epoch` with every other object
-  /// of the group at this node.
+  /// The object shares `epoch` with every other object of its lineage at
+  /// this node.
   ReplicaStore(NodeId self, std::shared_ptr<EpochRecord> epoch,
                std::vector<uint8_t> initial_value)
       : self_(self),
@@ -82,7 +82,6 @@ class ReplicaStore {
   bool stale() const { return stale_; }
   EpochNumber epoch_number() const { return epoch_->number; }
   const NodeSet& epoch_list() const { return epoch_->list; }
-  const std::shared_ptr<EpochRecord>& epoch_record() const { return epoch_; }
 
   /// Marks this replica stale with the given desired version
   /// ("mark-stale" handler).
@@ -92,7 +91,7 @@ class ReplicaStore {
   void ClearStale();
 
   /// Installs a new epoch ("new-epoch" handler; atomic at this node).
-  /// With a shared epoch record this updates the whole group.
+  /// This updates the whole lineage sharing the record.
   void SetEpoch(EpochNumber number, NodeSet members);
 
   // --- volatile state (lock table) ---
@@ -122,7 +121,7 @@ class ReplicaStore {
 
   /// Overwrites the persistent slice wholesale from recovered durable
   /// state. Volatile state must already be clear (post-Crash); the shared
-  /// epoch record is restored separately, once per group.
+  /// epoch record is restored separately, once per lineage.
   void RestorePersistent(VersionedObject object, bool stale,
                          Version desired_version) {
     object_ = std::move(object);
@@ -140,7 +139,7 @@ class ReplicaStore {
   VersionedObject object_;
   Version desired_version_ = 0;
   bool stale_ = false;
-  std::shared_ptr<EpochRecord> epoch_;  // Shared across the group.
+  std::shared_ptr<EpochRecord> epoch_;  // Shared across the lineage.
 
   // Volatile.
   LockOwner exclusive_owner_;

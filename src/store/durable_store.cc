@@ -98,7 +98,7 @@ bool GetState(ByteReader& r, RecoveredState* s) {
     uint32_t n_oe = r.U32();
     for (uint32_t i = 0; i < n_oe && r.ok(); ++i) {
       storage::ObjectId object = r.U32();
-      RecoveredState::ObjectEpoch oe;
+      storage::EpochRecord oe;
       oe.number = r.U64();
       oe.list = GetNodeSet(r);
       s->object_epochs.emplace(object, std::move(oe));
@@ -167,21 +167,15 @@ void DurableStore::LogClearStale(storage::ObjectId object) {
 }
 
 void DurableStore::LogEpochInstall(storage::EpochNumber number,
-                                   const NodeSet& list) {
+                                   const NodeSet& list,
+                                   std::optional<storage::ObjectId> scope) {
   ByteWriter w;
+  if (scope) w.U32(*scope);
   w.U64(number);
   PutNodeSet(w, list);
-  AppendRecord(RecordType::kEpochInstall, w);
-}
-
-void DurableStore::LogObjectEpochInstall(storage::ObjectId object,
-                                         storage::EpochNumber number,
-                                         const NodeSet& list) {
-  ByteWriter w;
-  w.U32(object);
-  w.U64(number);
-  PutNodeSet(w, list);
-  AppendRecord(RecordType::kObjectEpochInstall, w);
+  AppendRecord(scope ? RecordType::kObjectEpochInstall
+                     : RecordType::kEpochInstall,
+               w);
 }
 
 void DurableStore::LogStage(const storage::LockOwner& owner,
@@ -424,7 +418,7 @@ void DurableStore::ApplyRecord(RecoveredState& state, uint8_t type,
       NodeSet list = GetNodeSet(r);
       if (!r.ok()) return;
       // Per-object lineages are monotone, independently of one another.
-      RecoveredState::ObjectEpoch& oe = state.object_epochs[object];
+      storage::EpochRecord& oe = state.object_epochs[object];
       if (number >= oe.number) {
         oe.number = number;
         oe.list = list;

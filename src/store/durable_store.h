@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -64,15 +65,12 @@ struct RecoveredState {
   std::map<storage::ObjectId, NodeSet> pending_propagation;
   uint64_t next_operation_id = 1;
 
-  /// Sharded deployments: each hosted object's own epoch lineage (the
-  /// group-wide epoch_number/epoch_list above are then unused). Empty in
-  /// group mode, where both the checkpoint image and the redo stream stay
-  /// byte-identical to the pre-sharding format.
-  struct ObjectEpoch {
-    storage::EpochNumber number = 0;
-    NodeSet list;
-  };
-  std::map<storage::ObjectId, ObjectEpoch> object_epochs;
+  /// Per-object epoch lineages (sharded deployments): each hosted
+  /// object's own record. Empty when the node hosts only the group-wide
+  /// lineage (the epoch_number/epoch_list above), keeping both the
+  /// checkpoint image and the redo stream byte-identical to the
+  /// pre-sharding format.
+  std::map<storage::ObjectId, storage::EpochRecord> object_epochs;
 };
 
 /// What Recover() did, for tests and the demo.
@@ -107,10 +105,10 @@ class DurableStore {
                    const std::vector<uint8_t>& data);
   void LogMarkStale(storage::ObjectId object, storage::Version desired);
   void LogClearStale(storage::ObjectId object);
-  void LogEpochInstall(storage::EpochNumber number, const NodeSet& list);
-  /// Scoped (per-object lineage) variant used by sharded deployments.
-  void LogObjectEpochInstall(storage::ObjectId object,
-                             storage::EpochNumber number, const NodeSet& list);
+  /// An epoch install on the group-wide lineage (`scope` empty: a
+  /// kEpochInstall record) or on one object's lineage.
+  void LogEpochInstall(storage::EpochNumber number, const NodeSet& list,
+                       std::optional<storage::ObjectId> scope = std::nullopt);
   void LogStage(const storage::LockOwner& owner, const NodeSet& participants,
                 const std::vector<uint8_t>& action);
   void LogResolve(const storage::LockOwner& owner, uint8_t outcome);

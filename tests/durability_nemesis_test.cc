@@ -133,7 +133,7 @@ TEST_P(CrashPointSweep, NoCommittedVersionLostAndInvariantsHold) {
   EXPECT_GE(max_replica, max_acked)
       << "a client-acked version vanished from every replica (seed " << seed
       << ")";
-  auto r = cluster.ReadSyncRetry(0, 20);
+  auto r = cluster.ReadSyncRetry(0, 0, 20);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GE(r->version, max_acked);
 

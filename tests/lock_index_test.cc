@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "protocol/cluster.h"
@@ -257,7 +258,10 @@ TEST_F(LockIndexTest, LeaseStealsByDeadCoordinatorsLeaveNoRecords) {
     EXPECT_TRUE(node().LockIndexConsistent());
     cluster_->RunFor(lease + 1);
   }
-  EXPECT_EQ(node().stats().lock_steals, static_cast<uint64_t>(kSteals));
+  EXPECT_EQ(cluster_->metrics()
+                .counter("node." + std::to_string(kNode) + ".lock_steals")
+                ->value(),
+            static_cast<uint64_t>(kSteals));
   // A live operation steals the last abandoned lock and finishes.
   LockOwner live{1, 10};
   ASSERT_TRUE(Lock(live, hosted_[1]).ok());
@@ -319,8 +323,7 @@ TEST_F(LockIndexTest, RecoveryRelocksExactlyTheInDoubtFootprints) {
   ASSERT_TRUE(Prepare(pair, two).ok());
   StagedAction epoch;
   epoch.install_epoch = true;
-  epoch.epoch_scoped = true;
-  epoch.epoch_object = hosted_[4];
+  epoch.epoch_scope = hosted_[4];
   epoch.epoch_number = 1;
   epoch.epoch_list = cluster_->HomeNodes(hosted_[4]);
   ASSERT_TRUE(Prepare(install, epoch).ok());

@@ -138,7 +138,7 @@ TEST(Nemesis, ClusterServesWritesAfterStopAndHeal) {
 
   auto w = cluster.WriteSyncRetry(0, protocol::Update::Partial(1, {'z'}), 20);
   EXPECT_TRUE(w.ok()) << w.status().ToString();
-  auto r = cluster.ReadSyncRetry(4, 20);
+  auto r = cluster.ReadSyncRetry(4, 0, 20);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
 }
 

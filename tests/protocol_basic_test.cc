@@ -96,7 +96,7 @@ TEST(ProtocolBasic, ReadsSeeLatestCommittedWrite) {
     auto w = cluster.WriteSyncRetry(static_cast<NodeId>(2 * i % 9),
                                     Update::Partial(0, {uint8_t(i)}));
     ASSERT_TRUE(w.ok());
-    auto r = cluster.ReadSyncRetry(static_cast<NodeId>((2 * i + 5) % 9));
+    auto r = cluster.ReadSyncRetry(static_cast<NodeId>((2 * i + 5) % 9), 0);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->version, w->version);
     EXPECT_EQ(r->data[0], uint8_t(i));

@@ -116,7 +116,7 @@ TEST_P(RandomizedProtocol, InvariantsHoldUnderChurn) {
           break;
         }
       }
-      auto r = cluster.ReadSyncRetry(coord, 6);
+      auto r = cluster.ReadSyncRetry(coord, 0, 6);
       if (r.ok()) ++committed_reads;
     } else if (dice < 0.86 && !partitioned) {
       // Partition: split into two random connectivity groups.
@@ -178,7 +178,7 @@ TEST_P(RandomizedProtocol, InvariantsHoldUnderChurn) {
   // A final write + read observe a consistent, fresh object.
   auto wf = cluster.WriteSyncRetry(0, Update::Partial(0, {0xEE}), 10);
   EXPECT_TRUE(wf.ok()) << wf.status().ToString();
-  auto rf = cluster.ReadSyncRetry(1, 10);
+  auto rf = cluster.ReadSyncRetry(1, 0, 10);
   ASSERT_TRUE(rf.ok()) << rf.status().ToString();
   EXPECT_EQ(rf->version, wf->version);
   EXPECT_EQ(rf->data[0], 0xEE);

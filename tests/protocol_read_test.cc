@@ -71,7 +71,7 @@ TEST(ProtocolRead, HeavyReadAfterEpochDrift) {
   cluster2.Recover(8);
   // Node 8's epoch list still names all 9 nodes (epoch 0); a read from
   // it must still find the current data (via the responses' epoch list).
-  auto r = cluster2.ReadSyncRetry(8);
+  auto r = cluster2.ReadSyncRetry(8, 0);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->data[1], '7');
 }
@@ -92,7 +92,7 @@ TEST(ProtocolRead, GridReadsSurviveFailuresThatBlockWrites) {
   auto w = cluster.WriteSync(3, Update::Partial(1, {'!'}));
   EXPECT_FALSE(w.ok());
   // ...but reads still work.
-  auto r = cluster.ReadSyncRetry(3);
+  auto r = cluster.ReadSyncRetry(3, 0);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->data[1], 'z');
   EXPECT_TRUE(cluster.CheckHistory().ok());
@@ -122,7 +122,7 @@ TEST(ProtocolRead, FetchTargetRotatesAcrossGoodReplicas) {
   cluster.RunFor(2000);
   cluster.network().ResetStats();
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(cluster.ReadSyncRetry(static_cast<NodeId>(i % 9)).ok());
+    ASSERT_TRUE(cluster.ReadSyncRetry(static_cast<NodeId>(i % 9), 0).ok());
   }
   // Fetches should not all hit one node.
   uint32_t nodes_fetched_from = 0;

@@ -115,7 +115,7 @@ TEST_P(NodeCrashTest, CommittedWriteSurvivesCrashRecover) {
   }
 
   // The cluster keeps working and the recovered node's data reconverges.
-  Result<ReadOutcome> r = cluster.ReadSyncRetry(1, 10);
+  Result<ReadOutcome> r = cluster.ReadSyncRetry(1, 0, 10);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GE(r->version, committed);
 }

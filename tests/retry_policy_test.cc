@@ -66,14 +66,14 @@ TEST(RetryPolicy, ReadRetryCoversBothStatuses) {
     for (NodeId v : {NodeId(0), NodeId(3), NodeId(6)}) cluster.Recover(v);
   });
 
-  auto r = cluster.ReadSyncRetry(1, 50);
+  auto r = cluster.ReadSyncRetry(1, 0, 50);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GE(cluster.simulator().Now(), 120.0);
 
   // And the default policy still surfaces unavailability immediately.
   Cluster strict(BaseOptions(23));
   for (NodeId v : {NodeId(0), NodeId(3), NodeId(6)}) strict.Crash(v);
-  auto r2 = strict.ReadSyncRetry(1, 50);
+  auto r2 = strict.ReadSyncRetry(1, 0, 50);
   ASSERT_FALSE(r2.ok());
   EXPECT_TRUE(r2.status().IsUnavailable()) << r2.status().ToString();
 }

@@ -74,23 +74,20 @@ TEST(ObjectTable, LoadIsRoughlyBalanced) {
   }
 }
 
-TEST(ObjectTable, CatalogListsHostedObjectsAndFullDirectory) {
+TEST(ObjectTable, CatalogGivesEveryObjectItsLineage) {
   ObjectTable table(DefaultOptions());
-  const std::vector<uint8_t> value = {7, 7};
-  for (NodeId node : table.pool()) {
-    NodeCatalog catalog = table.Catalog(node, value);
-    ASSERT_EQ(catalog.directory.size(), table.num_objects());
-    size_t hosted = 0;
-    for (storage::ObjectId o = 0; o < table.num_objects(); ++o) {
-      EXPECT_EQ(catalog.directory.at(o), table.placement(o).replicas);
-      if (!table.placement(o).replicas.Contains(node)) continue;
-      ASSERT_LT(hosted, catalog.hosted.size());
-      const HostedObjectSpec& spec = catalog.hosted[hosted++];
-      EXPECT_EQ(spec.id, o);
-      EXPECT_EQ(spec.home, table.placement(o).replicas);
-      EXPECT_EQ(spec.initial_value, value);
-    }
-    EXPECT_EQ(hosted, catalog.hosted.size()) << "node " << node;
+  Catalog sharded = BuildCatalog(table.pool(), table.num_objects(), &table);
+  ASSERT_EQ(sharded.size(), table.num_objects());
+  for (storage::ObjectId o = 0; o < table.num_objects(); ++o) {
+    EXPECT_EQ(sharded.at(o).scope, LineageScope(o));
+    EXPECT_EQ(sharded.at(o).members, table.placement(o).replicas);
+  }
+  // Without a table every object belongs to the one group-wide lineage.
+  Catalog group = BuildCatalog(table.pool(), 4, nullptr);
+  ASSERT_EQ(group.size(), 4u);
+  for (const auto& [o, home] : group) {
+    EXPECT_FALSE(home.scope.has_value()) << "object " << o;
+    EXPECT_EQ(home.members, table.pool());
   }
 }
 

@@ -154,9 +154,6 @@ TEST(SocketTransportTest, ShardedMultiObjectClusterOverSockets) {
     EXPECT_EQ(r->data,
               (std::vector<uint8_t>{static_cast<uint8_t>(obj), 0xAB}));
   }
-
-  // The group-wide epoch check has no meaning here and must not succeed.
-  EXPECT_FALSE(cluster.CheckEpochSync(0).ok());
 }
 
 TEST(SocketTransportTest, ShardedScopedEpochCheckShrinksOneLineage) {
@@ -186,7 +183,7 @@ TEST(SocketTransportTest, ShardedScopedEpochCheckShrinksOneLineage) {
   NodeSet live_home = table->placement(on4).replicas;
   live_home.Erase(4);
   NodeId initiator = live_home.NthMember(0);
-  Status s = cluster.CheckObjectEpochSync(initiator, on4);
+  Status s = cluster.CheckEpochSync(initiator, on4);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(cluster.node(initiator).store(on4).epoch_number(), 1u);
   EXPECT_EQ(cluster.node(initiator).store(on4).epoch_list(), live_home);
@@ -200,7 +197,7 @@ TEST(SocketTransportTest, ShardedScopedEpochCheckShrinksOneLineage) {
 
   // Node 4 returns; a second scoped check readmits it.
   cluster.SetNodeUp(4, true);
-  s = cluster.CheckObjectEpochSync(initiator, on4);
+  s = cluster.CheckEpochSync(initiator, on4);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(cluster.node(initiator).store(on4).epoch_list(),
             table->placement(on4).replicas);

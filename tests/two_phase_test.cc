@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "protocol/cluster.h"
 
 namespace dcp::protocol {
@@ -151,8 +153,9 @@ TEST(TwoPhase, CoordinatorCrashBeforeDecisionPresumesAbort) {
   for (NodeId n = 1; n <= 3; ++n) {
     EXPECT_FALSE(cluster.node(n).store().stale());
     EXPECT_FALSE(cluster.node(n).store().IsLocked());
-    EXPECT_GT(cluster.node(n).stats().presumed_aborts +
-                  cluster.node(n).stats().aborts,
+    const std::string p = "node." + std::to_string(n) + ".";
+    EXPECT_GT(cluster.metrics().counter(p + "presumed_aborts")->value() +
+                  cluster.metrics().counter(p + "aborts")->value(),
               0u);
   }
 }
