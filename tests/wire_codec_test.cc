@@ -141,6 +141,13 @@ TEST(WireCodecTest, PrepareRequestRoundTripsStagedAction) {
   EXPECT_EQ(q.action.objects[0].update.offset, 4u);
   EXPECT_EQ(q.action.objects[0].update.bytes, (std::vector<uint8_t>{1, 2, 3}));
   EXPECT_EQ(q.participants.ToVector(), (std::vector<NodeId>{0, 1, 2, 3}));
+  EXPECT_FALSE(q.action.epoch_scope.has_value());
+
+  // A scoped install names its lineage in a trailer.
+  p->action.epoch_scope = 6;
+  out = RoundTrip(Request(msg::kPrepare, p));
+  EXPECT_EQ(net::As<PrepareRequest>(out.payload).action.epoch_scope,
+            LineageScope(6));
 }
 
 TEST(WireCodecTest, TwoPhaseControlMessagesRoundTrip) {
@@ -171,7 +178,20 @@ TEST(WireCodecTest, TwoPhaseControlMessagesRoundTrip) {
 }
 
 TEST(WireCodecTest, EpochPollRoundTrips) {
-  RoundTrip(Request(msg::kEpochPoll, std::make_shared<EpochPollRequest>()));
+  // The lineage scope is a trailer: a group-wide poll stays a bare tag
+  // byte, a scoped one appends (true, object).
+  auto group = std::make_shared<EpochPollRequest>();
+  auto scoped = std::make_shared<EpochPollRequest>();
+  scoped->scope = 12;
+  EXPECT_FALSE(net::As<EpochPollRequest>(
+                   RoundTrip(Request(msg::kEpochPoll, group)).payload)
+                   .scope.has_value());
+  EXPECT_EQ(net::As<EpochPollRequest>(
+                RoundTrip(Request(msg::kEpochPoll, scoped)).payload)
+                .scope,
+            LineageScope(12));
+  EXPECT_EQ(EncodeMessage(Request(msg::kEpochPoll, scoped)).size(),
+            EncodeMessage(Request(msg::kEpochPoll, group)).size() + 5);
 
   auto p = std::make_shared<EpochPollResponse>();
   p->node = 3;
