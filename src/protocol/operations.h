@@ -53,15 +53,12 @@ struct WriteOptions {
 ///
 /// Lock conflicts abort the attempt with kConflict (the caller retries
 /// with backoff — see Cluster::Write). `history` may be null. `object`
-/// selects the data item within the node's replica group.
+/// selects the data item within the node's replica group. This is the
+/// one-spec case of StartTxnWrite, reported under the `op.write.*`
+/// metrics and the `op/write` span.
 void StartWrite(ReplicaNode* node, storage::ObjectId object, Update update,
                 WriteOptions options, HistoryRecorder* history,
                 WriteDone done);
-
-inline void StartWrite(ReplicaNode* node, Update update, WriteOptions options,
-                       HistoryRecorder* history, WriteDone done) {
-  StartWrite(node, 0, std::move(update), options, history, std::move(done));
-}
 
 /// The read protocol: "similar to the write protocol except it does not
 /// update any replicas" (Section 4). Locks a read quorum (shared),
@@ -70,11 +67,6 @@ inline void StartWrite(ReplicaNode* node, Update update, WriteOptions options,
 /// epoch list was out of date or no current replica answered.
 void StartRead(ReplicaNode* node, storage::ObjectId object,
                HistoryRecorder* history, ReadDone done);
-
-inline void StartRead(ReplicaNode* node, HistoryRecorder* history,
-                      ReadDone done) {
-  StartRead(node, 0, history, std::move(done));
-}
 
 /// The epoch-checking operation (Section 4.3 / Appendix CheckEpoch) on
 /// the lineage that owns `object` (the group-wide lineage in a group
@@ -117,11 +109,13 @@ using HistoryLookup =
 /// through a single 2PC whose participant set is the union of the
 /// per-object quorums. Each object may live on a different replica set —
 /// the coordinator routes by the node's object directory, so it need not
-/// host any of them. Per-object heavy fallback extends that object's lock
-/// set to its whole home set before giving up.
+/// host any of them. Every object follows StartWrite's rules: an unusable
+/// quorum hint fails fast with its status, HeavyProcedure extends that
+/// object's lock set to its whole home set before giving up, and a 2PC
+/// abort retries once on the heavy path under a fresh operation id unless
+/// some object already went heavy.
 ///
-/// On abort every acquired lock (across all objects) is released and the
-/// caller retries with a fresh operation id; there is no built-in retry.
+/// On failure every acquired lock (across all objects) is released.
 /// Duplicate object ids in `specs` are rejected (kInvalidArgument).
 void StartTxnWrite(ReplicaNode* node, std::vector<TxnWriteSpec> specs,
                    HistoryLookup histories, TxnWriteDone done);
