@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "protocol/cluster.h"
@@ -167,6 +168,41 @@ TEST(ProtocolFailure, PartitionWithQuorumSideProceeds) {
   EXPECT_TRUE(cluster.CheckReplicaConsistency().ok());
   EXPECT_TRUE(cluster.CheckEpochInvariants().ok());
   EXPECT_TRUE(cluster.CheckHistory().ok());
+}
+
+TEST(ProtocolFailure, RacingPartialWritersReportConflictNotStaleData) {
+  // Three coordinators race closed loops of partial writes on one object
+  // of a 5-node majority. Propagation to replicas marked stale lags the
+  // writes, so a heavy write can lock a quorum whose current replicas are
+  // all held by a racing writer. Every node is up, so a current replica
+  // exists: such a write must report the lock conflict (which callers
+  // retry), not StaleData (which they give up on).
+  Cluster cluster(Options(5, CoterieKind::kMajority));
+  int committed = 0;
+  int conflicts = 0;
+  std::vector<Status> others;
+  std::function<void(NodeId, int)> issue = [&](NodeId c, int left) {
+    if (left == 0) return;
+    cluster.Write(c, 0, Update::Partial(c, {uint8_t(left)}),
+                  [&, c, left](Result<WriteOutcome> r) {
+                    if (r.ok()) {
+                      ++committed;
+                    } else if (r.status().code() == StatusCode::kConflict) {
+                      ++conflicts;
+                    } else {
+                      others.push_back(r.status());
+                    }
+                    issue(c, left - 1);
+                  });
+  };
+  for (NodeId c = 0; c < 3; ++c) issue(c, 10);
+  cluster.RunFor(5000);
+  EXPECT_EQ(committed + conflicts + static_cast<int>(others.size()), 30);
+  EXPECT_GT(committed, 0);
+  EXPECT_GT(conflicts, 0);
+  for (const Status& s : others) ADD_FAILURE() << s.ToString();
+  EXPECT_TRUE(cluster.Quiescent());
+  EXPECT_TRUE(cluster.CheckHistory().ok()) << cluster.CheckHistory().ToString();
 }
 
 TEST(ProtocolFailure, CoordinatorCrashMidOperationIsSafe) {
