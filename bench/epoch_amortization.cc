@@ -25,11 +25,6 @@ struct AmortizationResult {
   uint64_t epoch_changes = 0;
 };
 
-uint64_t TypeCount(const net::NetworkStats& stats, const char* type) {
-  auto it = stats.by_type.find(type);
-  return it == stats.by_type.end() ? 0 : it->second.sent;
-}
-
 /// Runs `groups` clusters with `objects_per_group` objects each under an
 /// identical crash/recover schedule, and returns per-object traffic.
 AmortizationResult Run(uint32_t groups, uint32_t objects_per_group,
@@ -65,11 +60,13 @@ AmortizationResult Run(uint32_t groups, uint32_t objects_per_group,
     }
     cluster.RunFor(horizon);
 
-    const auto& stats = cluster.network().stats();
-    out.poll_msgs_per_object += double(TypeCount(stats, "epoch-poll"));
+    const obs::MetricsRegistry& m = cluster.metrics();
+    out.poll_msgs_per_object +=
+        double(m.CounterValue("net.type.epoch-poll.sent"));
     out.change_msgs_per_object +=
-        double(TypeCount(stats, "2pc-prepare") +
-               TypeCount(stats, "2pc-commit") + TypeCount(stats, "2pc-abort"));
+        double(m.CounterValue("net.type.2pc-prepare.sent") +
+               m.CounterValue("net.type.2pc-commit.sent") +
+               m.CounterValue("net.type.2pc-abort.sent"));
     uint64_t changes = 0;
     for (uint32_t i = 0; i < 9; ++i) {
       changes = std::max<uint64_t>(changes, cluster.node(i).epoch().number);

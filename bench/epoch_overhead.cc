@@ -82,10 +82,8 @@ CadenceResult RunCadence(sim::Time check_interval, double mtbf,
 
   CadenceResult result;
   result.write_success_rate = attempts ? double(successes) / attempts : 0;
-  uint64_t polls = 0;
-  const net::NetworkStats net_stats = cluster.network().stats();
-  auto it = net_stats.by_type.find("epoch-poll");
-  if (it != net_stats.by_type.end()) polls = it->second.sent;
+  const uint64_t polls =
+      cluster.metrics().CounterValue("net.type.epoch-poll.sent");
   result.epoch_poll_msgs_per_time = double(polls) / horizon * 1000.0;
   uint64_t changes = 0;
   for (uint32_t i = 0; i < 9; ++i) {

@@ -101,27 +101,32 @@ TrafficResult MeasureTraffic(CoterieKind kind, Stack stack, uint32_t n,
   // Warm-up writes so every replica has settled state, then measure.
   for (int i = 0; i < 5; ++i) do_write(static_cast<NodeId>(i % n), i);
   cluster.RunFor(2000);  // Drain propagation.
-  cluster.network().ResetStats();
+  obs::MetricsRegistry& metrics = cluster.metrics();
+  metrics.ResetPrefix("net.");
 
   int write_fail = 0;
-  uint64_t before = cluster.network().stats().total_sent;
+  uint64_t before = metrics.CounterValue("net.sent");
   for (int i = 0; i < ops; ++i) {
     if (!do_write(static_cast<NodeId>(i % n), i)) ++write_fail;
     cluster.RunFor(500);  // Let propagation finish between ops.
   }
-  uint64_t write_msgs = cluster.network().stats().total_sent - before;
+  uint64_t write_msgs = metrics.CounterValue("net.sent") - before;
 
-  before = cluster.network().stats().total_sent;
+  before = metrics.CounterValue("net.sent");
   for (int i = 0; i < ops; ++i) do_read(static_cast<NodeId>((i * 3) % n));
-  uint64_t read_msgs = cluster.network().stats().total_sent - before;
+  uint64_t read_msgs = metrics.CounterValue("net.sent") - before;
 
   TrafficResult result;
   result.messages_per_write = double(write_msgs) / ops;
   result.messages_per_read = double(read_msgs) / ops;
   uint64_t lo = UINT64_MAX, hi = 0;
-  for (const auto& [node, count] : cluster.network().stats().delivered_to) {
-    lo = std::min(lo, count);
-    hi = std::max(hi, count);
+  // Load sharing: messages delivered per node ("net.delivered_to.<node>"),
+  // over the nodes that received any.
+  const std::string kDeliveredTo = "net.delivered_to.";
+  for (const auto& [name, counter] : metrics.counters()) {
+    if (name.rfind(kDeliveredTo, 0) != 0 || counter->value() == 0) continue;
+    lo = std::min(lo, counter->value());
+    hi = std::max(hi, counter->value());
   }
   result.load_max_over_min = lo ? double(hi) / double(lo) : 0;
   if (write_fail) {

@@ -11,6 +11,7 @@
 // replicas stay stale.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "baseline/dynamic_voting.h"
@@ -53,18 +54,14 @@ Stats RunPartialWriteWorkload(uint32_t n, int ops, uint64_t object_size) {
   }
   cluster.RunFor(3000);
 
-  const auto& stats = cluster.network().stats();
+  const obs::MetricsRegistry& m = cluster.metrics();
+  // Propagation traffic: offers and data pushes, with their replies.
   uint64_t prop = 0;
-  for (const char* type : {"prop-offer", "prop-data"}) {
-    auto it = stats.by_type.find(type);
-    if (it != stats.by_type.end()) prop += it->second.sent;
+  for (const char* type : {"prop-offer", "prop-data", "prop-offer.reply",
+                           "prop-data.reply"}) {
+    prop += m.CounterValue(std::string("net.type.") + type + ".sent");
   }
-  // Count reply traffic for propagation too.
-  for (const char* type : {"prop-offer.reply", "prop-data.reply"}) {
-    auto it = stats.by_type.find(type);
-    if (it != stats.by_type.end()) prop += it->second.sent;
-  }
-  result.msgs_per_write = double(stats.total_sent) / ops;
+  result.msgs_per_write = double(m.CounterValue("net.sent")) / ops;
   result.prop_msgs_per_write = double(prop) / ops;
   result.mean_stale_nodes = stale_sum / ops;
   return result;
@@ -94,7 +91,7 @@ Stats RunWriteToAllWorkload(uint32_t n, int ops, uint64_t object_size) {
     cluster.RunFor(400);
   }
   result.msgs_per_write =
-      double(cluster.network().stats().total_sent) / ops;
+      double(cluster.metrics().CounterValue("net.sent")) / ops;
   return result;
 }
 

@@ -97,12 +97,11 @@ int main() {
   }
 
   // The amortization, visible: poll traffic happened once per group.
-  const auto& stats = cluster.network().stats();
   std::printf("\nepoch-poll messages for the whole %u-file group: %llu "
               "(a per-file scheme would send ~%ux that)\n",
               kFiles,
               static_cast<unsigned long long>(
-                  stats.by_type.at("epoch-poll").sent),
+                  cluster.metrics().CounterValue("net.type.epoch-poll.sent")),
               kFiles);
 
   Status history = cluster.CheckHistory();

@@ -219,13 +219,15 @@ int main(int argc, char** argv) {
         0, Update::Partial(2, {static_cast<uint8_t>('a' + i)}), 20);
     if (w.ok()) ++committed;
   }
-  const auto& nstats = cluster.network().stats();
+  const obs::MetricsRegistry& m = cluster.metrics();
   std::printf("10 writes through the chaos: %d committed "
               "(dropped %llu, duplicated %llu, reordered %llu messages)\n",
               committed,
-              static_cast<unsigned long long>(nstats.total_dropped),
-              static_cast<unsigned long long>(nstats.total_duplicated),
-              static_cast<unsigned long long>(nstats.total_reordered));
+              static_cast<unsigned long long>(m.CounterValue("net.dropped")),
+              static_cast<unsigned long long>(
+                  m.CounterValue("net.duplicated")),
+              static_cast<unsigned long long>(
+                  m.CounterValue("net.reordered")));
 
   std::printf("\n== lifting message faults ==\n");
   cluster.ClearNetworkFaults();

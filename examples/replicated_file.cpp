@@ -54,13 +54,14 @@ int main() {
     if (w.ok()) ++committed;
     // Writers do NOT wait for propagation: it is asynchronous.
   }
-  const auto& stats = cluster.network().stats();
+  const obs::MetricsRegistry& m = cluster.metrics();
   std::printf("phase 1: %d/24 block writes committed\n", committed);
   std::printf("  write-path messages:  lock=%llu 2pc=%llu\n",
-              static_cast<unsigned long long>(stats.by_type.at("lock").sent),
               static_cast<unsigned long long>(
-                  stats.by_type.at("2pc-prepare").sent +
-                  stats.by_type.at("2pc-commit").sent));
+                  m.CounterValue("net.type.lock.sent")),
+              static_cast<unsigned long long>(
+                  m.CounterValue("net.type.2pc-prepare.sent") +
+                  m.CounterValue("net.type.2pc-commit.sent")));
   uint32_t stale_now = 0;
   for (uint32_t i = 0; i < kNodes; ++i) {
     if (cluster.node(i).store().stale()) ++stale_now;
@@ -70,15 +71,9 @@ int main() {
   // Phase 2: let the propagation protocol drain. Good replicas offer
   // missing updates to the stale ones; "already-recovering" de-dupes
   // concurrent offers.
-  uint64_t offers_before = stats.by_type.count("prop-offer")
-                               ? stats.by_type.at("prop-offer").sent
-                               : 0;
+  uint64_t offers_before = m.CounterValue("net.type.prop-offer.sent");
   cluster.RunFor(5000);
-  uint64_t offers_after = cluster.network().stats().by_type.count("prop-offer")
-                              ? cluster.network().stats()
-                                    .by_type.at("prop-offer")
-                                    .sent
-                              : 0;
+  uint64_t offers_after = m.CounterValue("net.type.prop-offer.sent");
   std::printf("phase 2: propagation drained (%llu offers total, %llu during "
               "drain)\n",
               static_cast<unsigned long long>(offers_after),

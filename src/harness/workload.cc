@@ -118,13 +118,7 @@ void WorkloadDriver::ArmTimeout(std::shared_ptr<OpState> op, bool is_write,
                     {{"outcome", "abandoned"}});
     if (state->stopped) return;
     FreeClient(op->client);
-    if (is_write) {
-      ++writes_.timed_out;
-      write_counters_.timed_out->Increment();
-    } else {
-      ++reads_.timed_out;
-      read_counters_.timed_out->Increment();
-    }
+    (is_write ? write_counters_ : read_counters_).timed_out->Increment();
   });
 }
 
@@ -143,7 +137,6 @@ void WorkloadDriver::Issue() {
   uint64_t span_id = span_seq_++;
 
   if (rng_.Bernoulli(options_.write_fraction)) {
-    ++writes_.attempted;
     write_counters_.attempted->Increment();
 
     Update update;
@@ -191,13 +184,9 @@ void WorkloadDriver::Issue() {
       FreeClient(op->client);
       double latency = now - started;
       if (r.ok()) {
-        ++writes_.committed;
-        writes_.total_latency += latency;
-        writes_.max_latency = std::max(writes_.max_latency, latency);
         write_counters_.committed->Increment();
         write_counters_.latency->Observe(latency);
       } else {
-        ++writes_.failed;
         write_counters_.failed->Increment();
       }
     };
@@ -221,7 +210,6 @@ void WorkloadDriver::Issue() {
     }
     ArmTimeout(op, /*is_write=*/true, op_id, span_id, coordinator);
   } else {
-    ++reads_.attempted;
     read_counters_.attempted->Increment();
     uint64_t op_id =
         history ? history->InvokeRead(op->client, object, started) : 0;
@@ -249,13 +237,9 @@ void WorkloadDriver::Issue() {
       FreeClient(op->client);
       double latency = now - started;
       if (r.ok()) {
-        ++reads_.committed;
-        reads_.total_latency += latency;
-        reads_.max_latency = std::max(reads_.max_latency, latency);
         read_counters_.committed->Increment();
         read_counters_.latency->Observe(latency);
       } else {
-        ++reads_.failed;
         read_counters_.failed->Increment();
       }
     };

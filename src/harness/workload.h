@@ -12,28 +12,6 @@
 
 namespace dcp::harness {
 
-/// Latency/outcome statistics for one operation class.
-struct OpStats {
-  uint64_t attempted = 0;
-  uint64_t committed = 0;
-  uint64_t failed = 0;
-  /// Client-side abandonments (Options::op_timeout): the op was still in
-  /// flight when the client gave up, so it is neither committed nor
-  /// failed — it *may* have taken effect (open interval in the history).
-  uint64_t timed_out = 0;
-  double total_latency = 0;  ///< Simulated time, committed ops only.
-  double max_latency = 0;
-
-  double success_rate() const {
-    return attempted ? static_cast<double>(committed) /
-                           static_cast<double>(attempted)
-                     : 0;
-  }
-  double mean_latency() const {
-    return committed ? total_latency / static_cast<double>(committed) : 0;
-  }
-};
-
 /// Which protocol stack the workload drives.
 enum class Stack {
   kDynamicCoterie,   ///< The paper's protocol (whatever rule the cluster has).
@@ -46,6 +24,12 @@ enum class Stack {
 /// process; each picks a live coordinator uniformly, performs a read or
 /// a (partial) write on a random object, and records latency/outcome.
 /// No retries — the success rate *is* the availability the client sees.
+///
+/// Outcomes live only in the cluster's metrics registry, per kind
+/// ("write" or "read"): counters "workload.<kind>.{attempted,committed,
+/// failed,timed_out}" and the histogram "workload.<kind>.latency" of
+/// committed ops' simulated latency. One driver per cluster — a second
+/// driver would share (and add to) the same names.
 class WorkloadDriver {
  public:
   struct Options {
@@ -75,7 +59,7 @@ class WorkloadDriver {
     analysis::ClientHistory* client_history = nullptr;
 
     /// When > 0, an operation still unresolved after this much sim time
-    /// is abandoned by the client: counted in OpStats::timed_out and
+    /// is abandoned by the client: counted in workload.<kind>.timed_out and
     /// recorded open-interval (possibly committed — the checker treats it
     /// as concurrent with everything after its invocation). A response
     /// arriving after abandonment is ignored; the client never saw it.
@@ -98,9 +82,6 @@ class WorkloadDriver {
     if (state_) state_->stopped = true;
   }
 
-  const OpStats& writes() const { return writes_; }
-  const OpStats& reads() const { return reads_; }
-
  private:
   /// `stopped` is a plain bool on purpose: the simulator is
   /// single-threaded, so queued arrival events and Stop() always run on
@@ -119,9 +100,9 @@ class WorkloadDriver {
     bool settled = false;
   };
 
-  /// Registry handles mirroring one OpStats ("workload.<kind>.*"), so the
-  /// client-observed view lands in metrics exports alongside the protocol
-  /// counters.
+  /// Cached registry handles for one kind's "workload.<kind>.*" metrics,
+  /// so the client-observed view lands in metrics exports alongside the
+  /// protocol counters.
   struct OpCounters {
     obs::Counter* attempted;
     obs::Counter* committed;
@@ -153,8 +134,6 @@ class WorkloadDriver {
   /// Constructed only for kZipfian (the normalizer is O(num_objects)).
   std::unique_ptr<ZipfianGenerator> zipf_;
   std::shared_ptr<Shared> state_;
-  OpStats writes_;
-  OpStats reads_;
   OpCounters write_counters_;
   OpCounters read_counters_;
   uint64_t counter_ = 0;

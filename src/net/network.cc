@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <cassert>
+#include <string>
 #include <utility>
 
 namespace dcp::net {
@@ -21,7 +22,6 @@ Network::TypeCounters& Network::ForType(TypeName type) {
   obs::MetricsRegistry& m = sim_->metrics();
   std::string prefix = "net.type." + type.str() + ".";
   TypeCounters tc;
-  tc.type = type;
   tc.sent = m.counter(prefix + "sent");
   tc.delivered = m.counter(prefix + "delivered");
   tc.failed = m.counter(prefix + "failed");
@@ -36,35 +36,6 @@ obs::Counter* Network::DeliveredTo(NodeId node) {
       sim_->metrics().counter("net.delivered_to." + std::to_string(node));
   return delivered_to_.Insert(node, c);
 }
-
-NetworkStats Network::stats() const {
-  NetworkStats s;
-  s.total_sent = sent_->value();
-  s.total_delivered = delivered_->value();
-  s.total_failed = failed_->value();
-  s.total_dropped = dropped_->value();
-  s.total_duplicated = duplicated_->value();
-  s.total_reordered = reordered_->value();
-  // The flat maps iterate in table order; the sorted result maps keep
-  // the reported snapshot canonical.
-  type_counters_.ForEach([&s](uint64_t, const TypeCounters& tc) {
-    TypeStats ts;
-    ts.sent = tc.sent->value();
-    ts.delivered = tc.delivered->value();
-    ts.failed = tc.failed->value();
-    ts.dropped = tc.dropped->value();
-    ts.duplicated = tc.duplicated->value();
-    if (!(ts == TypeStats{})) s.by_type.emplace(tc.type.str(), ts);
-  });
-  delivered_to_.ForEach([&s](uint64_t node, obs::Counter* const& c) {
-    if (c->value() != 0) {
-      s.delivered_to.emplace(static_cast<NodeId>(node), c->value());
-    }
-  });
-  return s;
-}
-
-void Network::ResetStats() { sim_->metrics().ResetPrefix("net."); }
 
 void Network::Register(NodeId node, MessageSink* sink) {
   if (node >= sinks_.size()) {

@@ -6,7 +6,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -62,35 +61,6 @@ struct FaultModel {
     auto it = per_link.find({src, dst});
     return it == per_link.end() ? global : it->second;
   }
-};
-
-/// Per-message-type traffic counters. Snapshot view — the live values
-/// are registry counters (see Network::stats).
-struct TypeStats {
-  uint64_t sent = 0;
-  uint64_t delivered = 0;
-  uint64_t failed = 0;   ///< Undeliverable (down / partitioned / cut link).
-  uint64_t dropped = 0;     ///< Lost by the fault model.
-  uint64_t duplicated = 0;  ///< Extra copies minted by the fault model.
-
-  bool operator==(const TypeStats&) const = default;
-};
-
-/// Aggregate network statistics, for the message-traffic benches.
-/// Since the observability layer landed this is a *snapshot* assembled
-/// from the metrics registry ("net.*" entries) at each stats() call, kept
-/// for API compatibility; live consumers should read the registry.
-struct NetworkStats {
-  uint64_t total_sent = 0;
-  uint64_t total_delivered = 0;
-  uint64_t total_failed = 0;
-  uint64_t total_dropped = 0;
-  uint64_t total_duplicated = 0;
-  uint64_t total_reordered = 0;
-  std::map<std::string, TypeStats> by_type;
-  std::map<NodeId, uint64_t> delivered_to;  ///< Load-sharing distribution.
-
-  bool operator==(const NetworkStats&) const = default;
 };
 
 /// The simulated network: node registry, up/down status, partitions,
@@ -182,13 +152,6 @@ class Network final : public rt::Transport {
   /// senders at Send() time, before latency sampling or fault injection.
   void set_send_tap(rt::SendTap tap) override { send_tap_ = std::move(tap); }
 
-  /// Snapshot of the registry-backed traffic counters. All-zero per-type
-  /// and per-node entries are omitted, so a freshly reset network reports
-  /// empty maps exactly as the pre-registry implementation did.
-  NetworkStats stats() const;
-  /// Zeroes every "net.*" metric (the registered names survive).
-  void ResetStats();
-
   sim::Simulator* simulator() { return sim_; }
 
  private:
@@ -197,7 +160,6 @@ class Network final : public rt::Transport {
   /// by the interned TypeName pointer: a type's counters are one flat
   /// hash probe away, with no string hashing or comparisons.
   struct TypeCounters {
-    TypeName type;  ///< For stats() reporting.
     obs::Counter* sent = nullptr;
     obs::Counter* delivered = nullptr;
     obs::Counter* failed = nullptr;
@@ -231,9 +193,14 @@ class Network final : public rt::Transport {
   std::vector<uint8_t> up_;
   std::vector<uint32_t> partition_group_;
 
-  // Traffic accounting lives in the simulator's metrics registry
-  // ("net.*"); these are cached handles. One Network per Simulator —
-  // two networks on one sim would share (and double-count) the names.
+  // Traffic accounting lives only in the simulator's metrics registry;
+  // these are cached handles. The names are "net.{sent,delivered,failed,
+  // dropped,duplicated,reordered}", per message type
+  // "net.type.<type>.{sent,delivered,failed,dropped,duplicated}" and the
+  // load-sharing distribution "net.delivered_to.<node>"; the per-type and
+  // per-node names are registered at first use. Readers zero them with
+  // metrics().ResetPrefix("net."). One Network per Simulator — two
+  // networks on one sim would share (and double-count) the names.
   obs::Counter* sent_;
   obs::Counter* delivered_;
   obs::Counter* failed_;

@@ -100,6 +100,11 @@ void MetricsRegistry::Reset() {
   for (auto& [name, h] : histograms_) h->Reset();
 }
 
+uint64_t MetricsRegistry::CounterValue(const std::string& name) const {
+  auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second->value();
+}
+
 void MetricsRegistry::ResetPrefix(const std::string& prefix) {
   auto matches = [&prefix](const std::string& name) {
     return name.compare(0, prefix.size(), prefix) == 0;

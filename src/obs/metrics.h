@@ -106,6 +106,11 @@ class MetricsRegistry {
   const std::map<std::string, std::unique_ptr<Counter>>& counters() const {
     return counters_;
   }
+  /// The value of counter `name`, or 0 when no such counter is
+  /// registered. A lookup never registers the name, so reading an
+  /// absent counter leaves every snapshot unchanged.
+  uint64_t CounterValue(const std::string& name) const;
+
   const std::map<std::string, std::unique_ptr<Gauge>>& gauges() const {
     return gauges_;
   }

@@ -35,6 +35,37 @@ struct WireCodec {
       decode;
 };
 
+/// The socket transport's wire-level counters (SocketTransport::counters).
+/// The simulator has no wire, so it keeps none of these.
+///
+///  - frames_sent/received: complete frames written to / decoded from
+///    sockets (self-sends bypass the wire and are not counted).
+///  - frames_dropped: outbound frames discarded by connection teardown
+///    (their senders were notified via on_failed).
+///  - decode_failures: inbound stream corruption — an oversized length
+///    prefix or an undecodable payload. Each one tears the connection
+///    down (a desynchronized byte stream cannot be trusted again).
+///  - send_queue_overflows: sends rejected because the destination
+///    endpoint's bounded outbound queue was full (slow-peer backpressure;
+///    the sender was notified via on_failed instead of blocking).
+///  - writev_calls: flush syscalls issued; frames_sent / writev_calls is
+///    the realized batching factor.
+///
+/// A counters() snapshot is safe to take from any thread while traffic
+/// flows: each counter is a lock-free relaxed atomic (they are
+/// independent monotonic event counts with no cross-field invariant),
+/// so a snapshot is some valid point in each counter's history — and
+/// exact once the transport's threads quiesce, which is when tests and
+/// benches assert on it.
+struct TransportCounters {
+  uint64_t frames_sent = 0;
+  uint64_t frames_received = 0;
+  uint64_t frames_dropped = 0;
+  uint64_t decode_failures = 0;
+  uint64_t send_queue_overflows = 0;
+  uint64_t writev_calls = 0;
+};
+
 struct SocketTransportOptions {
   uint32_t num_nodes = 0;
   /// Worker threads draining node mailboxes. 0 picks a default from the
@@ -122,16 +153,9 @@ class SocketTransport final : public Transport {
             std::function<void()> on_failed = nullptr) override;
   Runtime* runtime(NodeId node) override;
   void set_send_tap(SendTap tap) override;
-  TransportCounters counters() const override;
 
-  /// Frames actually written to / read from sockets (self-sends bypass
-  /// the wire and are not counted).
-  [[nodiscard]] uint64_t frames_sent() const {
-    return frames_sent_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] uint64_t frames_received() const {
-    return frames_received_.load(std::memory_order_relaxed);
-  }
+  /// Snapshot of the wire-level counters (see TransportCounters).
+  [[nodiscard]] TransportCounters counters() const;
 
   [[nodiscard]] const util::BufferPool& buffer_pool() const { return pool_; }
 

@@ -1,7 +1,6 @@
 #ifndef DCP_RUNTIME_TRANSPORT_H_
 #define DCP_RUNTIME_TRANSPORT_H_
 
-#include <cstdint>
 #include <functional>
 
 #include "net/message.h"
@@ -9,38 +8,6 @@
 #include "util/node_set.h"
 
 namespace dcp::rt {
-
-/// Wire-level counters a transport backend may expose. All zeros on
-/// backends without a wire (the simulator delivers message objects, so
-/// nothing here can happen to it by construction).
-///
-///  - frames_sent/received: complete frames written to / decoded from
-///    sockets (self-sends bypass the wire and are not counted).
-///  - frames_dropped: outbound frames discarded by connection teardown
-///    (their senders were notified via on_failed).
-///  - decode_failures: inbound stream corruption — an oversized length
-///    prefix or an undecodable payload. Each one tears the connection
-///    down (a desynchronized byte stream cannot be trusted again).
-///  - send_queue_overflows: sends rejected because the destination
-///    endpoint's bounded outbound queue was full (slow-peer backpressure;
-///    the sender was notified via on_failed instead of blocking).
-///  - writev_calls: flush syscalls issued; frames_sent / writev_calls is
-///    the realized batching factor.
-///
-/// A counters() snapshot is safe to take from any thread while traffic
-/// flows: backends keep each counter in a lock-free relaxed atomic (they
-/// are independent monotonic event counts with no cross-field invariant),
-/// so a snapshot is some valid point in each counter's history — and
-/// exact once the transport's threads quiesce, which is when tests and
-/// benches assert on it.
-struct TransportCounters {
-  uint64_t frames_sent = 0;
-  uint64_t frames_received = 0;
-  uint64_t frames_dropped = 0;
-  uint64_t decode_failures = 0;
-  uint64_t send_queue_overflows = 0;
-  uint64_t writev_calls = 0;
-};
 
 /// Observes every message the transport accepts for sending, at the point
 /// of send (before any latency, loss, or socket write). Used by the
@@ -88,10 +55,6 @@ class Transport {
 
   /// Installs (or clears, with nullptr) the send tap.
   virtual void set_send_tap(SendTap tap) = 0;
-
-  /// Wire-level counters (see TransportCounters). Backends without a
-  /// wire report zeros.
-  [[nodiscard]] virtual TransportCounters counters() const { return {}; }
 };
 
 }  // namespace dcp::rt

@@ -121,7 +121,6 @@ bool Simulator::Step() {
   slots_[slot].fn = nullptr;
   free_slots_.push_back(slot);
   --live_;
-  ++events_executed_;
   executed_counter_->Increment();
   fn();
   return true;

@@ -80,8 +80,9 @@ class Simulator final : public rt::Runtime {
   /// `deadline` (even if the queue still holds later events).
   void RunUntil(Time deadline);
 
-  /// Number of events executed so far.
-  uint64_t events_executed() const { return events_executed_; }
+  /// Number of events executed so far: the "sim.events_executed"
+  /// counter, the only store of this count.
+  uint64_t events_executed() const { return executed_counter_->value(); }
 
   /// Number of pending (live, uncancelled) events.
   size_t pending() const { return live_; }
@@ -125,7 +126,6 @@ class Simulator final : public rt::Runtime {
 
   Time now_ = 0;
   uint64_t next_seq_ = 1;
-  uint64_t events_executed_ = 0;
   size_t live_ = 0;
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;

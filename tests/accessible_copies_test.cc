@@ -71,11 +71,11 @@ TEST(AccessibleCopies, WriteAllReadOne) {
     EXPECT_EQ(cluster.node(i).store().version(), 1u) << "node " << int(i);
   }
   // Read-one: exactly one lock + one fetch on the wire.
-  cluster.network().ResetStats();
+  cluster.metrics().ResetPrefix("net.");
   auto r = ReadSync(cluster, 4);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->data[0], 'X');
-  EXPECT_EQ(cluster.network().stats().by_type.at("fetch").sent, 1u);
+  EXPECT_EQ(cluster.metrics().CounterValue("net.type.fetch.sent"), 1u);
 }
 
 TEST(AccessibleCopies, WriteFailsWhenViewMemberDown) {

@@ -200,7 +200,7 @@ TEST(DurabilityEpochs, RecoveredEpochNeverRegresses) {
 // --- determinism ----------------------------------------------------------
 
 struct DurableFingerprint {
-  net::NetworkStats network_stats;
+  std::string metrics_json;  ///< The whole registry: every "net.*" count.
   std::vector<std::string> fault_descriptions;
   std::vector<storage::Version> write_versions;
   std::vector<double> write_times;
@@ -234,7 +234,7 @@ DurableFingerprint RunDurableOnce(uint64_t seed, bool durable) {
   cluster.RunFor(8000);
 
   DurableFingerprint fp;
-  fp.network_stats = cluster.network().stats();
+  fp.metrics_json = cluster.metrics().ToJson();
   for (const auto& applied : nemesis.log()) {
     fp.fault_descriptions.push_back(applied.description);
   }
@@ -260,7 +260,7 @@ DurableFingerprint RunDurableOnce(uint64_t seed, bool durable) {
 TEST(DurabilityDeterminism, DurableRunsReplayIdentically) {
   DurableFingerprint a = RunDurableOnce(4242, /*durable=*/true);
   DurableFingerprint b = RunDurableOnce(4242, /*durable=*/true);
-  EXPECT_EQ(a.network_stats, b.network_stats);
+  EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.fault_descriptions, b.fault_descriptions);
   EXPECT_EQ(a.write_versions, b.write_versions);
   EXPECT_EQ(a.write_times, b.write_times);
@@ -282,7 +282,7 @@ TEST(DurabilityDeterminism, DurabilityOffRunsReplayIdenticallyToo) {
   // seed, same bytes — and no disk/WAL/recovery activity at all.
   DurableFingerprint a = RunDurableOnce(909, /*durable=*/false);
   DurableFingerprint b = RunDurableOnce(909, /*durable=*/false);
-  EXPECT_EQ(a.network_stats, b.network_stats);
+  EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.fault_descriptions, b.fault_descriptions);
   EXPECT_EQ(a.write_versions, b.write_versions);
   EXPECT_EQ(a.write_times, b.write_times);

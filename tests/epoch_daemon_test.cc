@@ -117,9 +117,9 @@ TEST(EpochDaemon, NoInterferenceWithoutFailures) {
   // change means no 2PC.
   Cluster cluster(DaemonOptions());
   cluster.RunFor(5000);
-  const auto& stats = cluster.network().stats();
-  EXPECT_GT(stats.by_type.at("epoch-poll").sent, 100u);
-  EXPECT_EQ(stats.by_type.count("2pc-prepare"), 0u);
+  const obs::MetricsRegistry& m = cluster.metrics();
+  EXPECT_GT(m.CounterValue("net.type.epoch-poll.sent"), 100u);
+  EXPECT_EQ(m.CounterValue("net.type.2pc-prepare.sent"), 0u);
   for (uint32_t i = 0; i < 9; ++i) {
     EXPECT_FALSE(cluster.node(i).store().IsLocked());
   }

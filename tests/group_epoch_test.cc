@@ -165,9 +165,9 @@ TEST(GroupEpoch, PollTrafficIsPerGroupNotPerObject) {
   // poll round regardless of how many objects the group holds.
   for (uint32_t objects : {1u, 8u}) {
     Cluster cluster(GroupOptions(objects));
-    cluster.network().ResetStats();
+    cluster.metrics().ResetPrefix("net.");
     ASSERT_TRUE(cluster.CheckEpochSync(0).ok());
-    EXPECT_EQ(cluster.network().stats().by_type.at("epoch-poll").sent, 9u)
+    EXPECT_EQ(cluster.metrics().CounterValue("net.type.epoch-poll.sent"), 9u)
         << objects << " objects";
   }
 }

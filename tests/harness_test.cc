@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/fault_injector.h"
 #include "harness/workload.h"
 #include "protocol/cluster.h"
@@ -10,6 +12,26 @@ namespace {
 using protocol::Cluster;
 using protocol::ClusterOptions;
 using protocol::CoterieKind;
+
+/// The driver's "workload.<kind>.attempted" count.
+uint64_t Attempted(Cluster& cluster, const std::string& kind) {
+  return cluster.metrics().CounterValue("workload." + kind + ".attempted");
+}
+
+/// Committed share of the driver's `kind` ops (0 when none was issued).
+double SuccessRate(Cluster& cluster, const std::string& kind) {
+  const uint64_t attempted = Attempted(cluster, kind);
+  if (attempted == 0) return 0;
+  return double(cluster.metrics().CounterValue("workload." + kind +
+                                               ".committed")) /
+         double(attempted);
+}
+
+/// Mean simulated latency of the driver's committed `kind` ops.
+double MeanLatency(Cluster& cluster, const std::string& kind) {
+  return cluster.metrics().histograms().at("workload." + kind + ".latency")
+      ->mean();
+}
 
 ClusterOptions Options() {
   ClusterOptions opts;
@@ -95,13 +117,13 @@ TEST(WorkloadDriver, DrivesOperationsAndRecordsStats) {
   // ~1000 operations, ~60% writes. Open-loop clients do not retry, so
   // concurrent arrivals can fail on lock conflicts even failure-free —
   // but the vast majority must succeed, and the history must serialize.
-  EXPECT_GT(workload.writes().attempted, 400u);
-  EXPECT_GT(workload.reads().attempted, 250u);
-  EXPECT_GT(workload.writes().success_rate(), 0.75);
-  EXPECT_GT(workload.reads().success_rate(), 0.85);
-  EXPECT_GT(workload.writes().mean_latency(), 0.0);
-  EXPECT_GT(workload.writes().mean_latency(),
-            workload.reads().mean_latency());  // Writes pay 2PC rounds.
+  EXPECT_GT(Attempted(cluster, "write"), 400u);
+  EXPECT_GT(Attempted(cluster, "read"), 250u);
+  EXPECT_GT(SuccessRate(cluster, "write"), 0.75);
+  EXPECT_GT(SuccessRate(cluster, "read"), 0.85);
+  EXPECT_GT(MeanLatency(cluster, "write"), 0.0);
+  EXPECT_GT(MeanLatency(cluster, "write"),
+            MeanLatency(cluster, "read"));  // Writes pay 2PC rounds.
   EXPECT_TRUE(cluster.CheckHistory().ok());
 }
 
@@ -118,8 +140,8 @@ TEST(WorkloadDriver, SurvivesChurnWithDaemons) {
   workload.Stop();
   faults.Stop();
   // Churn costs some operations but most must succeed (no retries!).
-  EXPECT_GT(workload.writes().success_rate(), 0.7);
-  EXPECT_GT(workload.reads().success_rate(), 0.7);
+  EXPECT_GT(SuccessRate(cluster, "write"), 0.7);
+  EXPECT_GT(SuccessRate(cluster, "read"), 0.7);
   EXPECT_GT(faults.failures_injected(), 50u);
   EXPECT_TRUE(cluster.CheckHistory().ok())
       << cluster.CheckHistory().ToString();
@@ -135,8 +157,8 @@ TEST(WorkloadDriver, StopBeforePendingEventsFireMakesThemNoOps) {
   WorkloadDriver workload(&cluster, wopts);
   workload.Stop();  // The first arrival event is still queued.
   cluster.RunFor(20000);
-  EXPECT_EQ(workload.writes().attempted, 0u);
-  EXPECT_EQ(workload.reads().attempted, 0u);
+  EXPECT_EQ(Attempted(cluster, "write"), 0u);
+  EXPECT_EQ(Attempted(cluster, "read"), 0u);
   EXPECT_EQ(cluster.history().writes().size(), 0u);
 }
 
@@ -148,9 +170,9 @@ TEST(WorkloadDriver, StaticStackWorks) {
   WorkloadDriver workload(&cluster, wopts);
   cluster.RunFor(10000);
   workload.Stop();
-  EXPECT_GT(workload.writes().attempted, 50u);
+  EXPECT_GT(Attempted(cluster, "write"), 50u);
   // Failure-free, but open-loop arrivals may still collide on locks.
-  EXPECT_GT(workload.writes().success_rate(), 0.8);
+  EXPECT_GT(SuccessRate(cluster, "write"), 0.8);
 }
 
 }  // namespace

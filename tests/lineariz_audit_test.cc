@@ -30,6 +30,14 @@ using protocol::CoterieKind;
 
 constexpr sim::Time kHorizon = 12000;
 
+/// Writes plus reads the workload driver counted as `outcome`
+/// ("attempted", "committed", "failed" or "timed_out").
+uint64_t ClientOps(Cluster& cluster, const std::string& outcome) {
+  const obs::MetricsRegistry& m = cluster.metrics();
+  return m.CounterValue("workload.write." + outcome) +
+         m.CounterValue("workload.read." + outcome);
+}
+
 ClusterOptions BaseOptions(CoterieKind kind, uint64_t seed) {
   ClusterOptions opts;
   opts.num_nodes = 9;
@@ -111,7 +119,7 @@ TEST_P(AuditedNemesisSweep, ClientHistoryIsLinearizable) {
   ASSERT_TRUE(RunToQuiescence(cluster, 20000))
       << "cluster failed to quiesce (seed " << seed << ")";
 
-  EXPECT_GT(workload.writes().attempted + workload.reads().attempted, 20u);
+  EXPECT_GT(ClientOps(cluster, "attempted"), 20u);
   EXPECT_FALSE(history.ops().empty());
   EXPECT_TRUE(AuditPasses(history, AuditOptionsFor(opts)));
 
@@ -187,7 +195,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Workload timeouts used to discard the operation entirely. They must be
 // recorded as open-interval invocations (the op may have committed) and
-// surfaced in OpStats::timed_out — not silently dropped.
+// surfaced in workload.<kind>.timed_out — not silently dropped.
 TEST(AuditTimeouts, AbandonedOpsAreRecordedOpenInterval) {
   ClusterOptions opts;
   opts.num_nodes = 3;
@@ -215,18 +223,18 @@ TEST(AuditTimeouts, AbandonedOpsAreRecordedOpenInterval) {
   workload.Stop();
   cluster.RunFor(2000);
 
-  const OpStats& w = workload.writes();
-  const OpStats& r = workload.reads();
-  ASSERT_GT(w.attempted + r.attempted, 10u);
-  EXPECT_GT(w.timed_out + r.timed_out, 0u);
+  const uint64_t attempted = ClientOps(cluster, "attempted");
+  const uint64_t timed_out = ClientOps(cluster, "timed_out");
+  ASSERT_GT(attempted, 10u);
+  EXPECT_GT(timed_out, 0u);
 
   // Every abandoned op is present, settled, and open-interval.
   uint64_t open_ops = 0;
   for (const analysis::ClientOp& op : history.ops()) {
     if (op.outcome == analysis::ClientOp::Outcome::kOpen) ++open_ops;
   }
-  EXPECT_GE(open_ops, w.timed_out + r.timed_out);
-  EXPECT_EQ(history.ops().size(), w.attempted + r.attempted);
+  EXPECT_GE(open_ops, timed_out);
+  EXPECT_EQ(history.ops().size(), attempted);
 
   // Possibly-committed ops constrain nothing by themselves: the audit
   // treats them as concurrent and the history passes.
@@ -258,13 +266,12 @@ TEST(AuditTimeouts, LateResponseAfterAbandonIsIgnored) {
   workload.Stop();
   cluster.RunFor(2000);
 
-  const OpStats& w = workload.writes();
-  const OpStats& r = workload.reads();
-  ASSERT_GT(w.attempted + r.attempted, 10u);
+  const uint64_t attempted = ClientOps(cluster, "attempted");
+  ASSERT_GT(attempted, 10u);
   // Everything abandoned; completions that landed later were ignored.
-  EXPECT_EQ(w.committed + r.committed, 0u);
-  EXPECT_EQ(w.failed + r.failed, 0u);
-  EXPECT_EQ(w.timed_out + r.timed_out, w.attempted + r.attempted);
+  EXPECT_EQ(ClientOps(cluster, "committed"), 0u);
+  EXPECT_EQ(ClientOps(cluster, "failed"), 0u);
+  EXPECT_EQ(ClientOps(cluster, "timed_out"), attempted);
   for (const analysis::ClientOp& op : history.ops()) {
     EXPECT_EQ(op.outcome, analysis::ClientOp::Outcome::kOpen)
         << op.Describe();
@@ -279,7 +286,7 @@ TEST(AuditTimeouts, LateResponseAfterAbandonIsIgnored) {
 // --- observation purity ----------------------------------------------------
 
 struct RunFingerprint {
-  net::NetworkStats network_stats;
+  std::string metrics_json;  ///< The whole registry: every "net.*" count.
   uint64_t events_executed = 0;
   std::vector<storage::Version> write_versions;
   std::vector<uint64_t> replica_fingerprints;
@@ -303,7 +310,7 @@ RunFingerprint RunNemesisOnce(uint64_t seed, analysis::ClientHistory* history) {
   cluster.RunFor(8000);
 
   RunFingerprint fp;
-  fp.network_stats = cluster.network().stats();
+  fp.metrics_json = cluster.metrics().ToJson();
   fp.events_executed = cluster.simulator().events_executed();
   for (const auto& w : cluster.history().writes()) {
     fp.write_versions.push_back(w.version);
@@ -321,7 +328,7 @@ TEST(AuditDeterminism, RecorderDoesNotPerturbSeededRuns) {
   analysis::ClientHistory history;
   RunFingerprint with = RunNemesisOnce(321, &history);
   RunFingerprint without = RunNemesisOnce(321, nullptr);
-  EXPECT_EQ(with.network_stats, without.network_stats);
+  EXPECT_EQ(with.metrics_json, without.metrics_json);
   EXPECT_EQ(with.events_executed, without.events_executed);
   EXPECT_EQ(with.write_versions, without.write_versions);
   EXPECT_EQ(with.replica_fingerprints, without.replica_fingerprints);

@@ -122,6 +122,17 @@ TEST(MetricsRegistry, ResetPreservesRegistration) {
   EXPECT_DOUBLE_EQ(reg.gauge("a.g")->value(), 0.0);
 }
 
+TEST(MetricsRegistry, CounterValueReadsWithoutRegistering) {
+  MetricsRegistry reg;
+  reg.counter("net.sent")->Increment(4);
+  const std::string before = reg.ToJson();
+  const MetricsRegistry& view = reg;
+  EXPECT_EQ(view.CounterValue("net.sent"), 4u);
+  EXPECT_EQ(view.CounterValue("net.type.prop-offer.sent"), 0u);  // Absent.
+  EXPECT_EQ(reg.counters().size(), 1u);
+  EXPECT_EQ(reg.ToJson(), before);
+}
+
 TEST(MetricsRegistry, ResetPrefixIsScoped) {
   MetricsRegistry reg;
   reg.counter("net.sent")->Increment(5);

@@ -102,10 +102,13 @@ TEST_P(NemesisSweep, InvariantsHoldAndClusterQuiesces) {
   // The run must actually have been adversarial: the nemesis applied
   // faults and the fault model interfered with real traffic.
   EXPECT_GT(nemesis.faults_applied(), 0u);
-  EXPECT_GT(cluster.network().stats().total_dropped, 0u);
-  EXPECT_GT(cluster.network().stats().total_duplicated, 0u);
-  EXPECT_GT(cluster.network().stats().total_reordered, 0u);
-  EXPECT_GT(workload.writes().attempted + workload.reads().attempted, 20u);
+  const obs::MetricsRegistry& m = cluster.metrics();
+  EXPECT_GT(m.CounterValue("net.dropped"), 0u);
+  EXPECT_GT(m.CounterValue("net.duplicated"), 0u);
+  EXPECT_GT(m.CounterValue("net.reordered"), 0u);
+  EXPECT_GT(m.CounterValue("workload.write.attempted") +
+                m.CounterValue("workload.read.attempted"),
+            20u);
 }
 
 std::string SweepName(

@@ -94,11 +94,16 @@ TEST(NetworkExtra, StatsResetClearsEverything) {
   a.Call(1, "echo", MakePayload<Echo>(0), [&](RpcResult) { got = true; });
   sim.Run();
   ASSERT_TRUE(got);
-  EXPECT_GT(network.stats().total_sent, 0u);
-  network.ResetStats();
-  EXPECT_EQ(network.stats().total_sent, 0u);
-  EXPECT_TRUE(network.stats().by_type.empty());
-  EXPECT_TRUE(network.stats().delivered_to.empty());
+  EXPECT_GT(sim.metrics().CounterValue("net.sent"), 0u);
+  sim.metrics().ResetPrefix("net.");
+  // Every "net.*" counter is zero; the names stay registered.
+  size_t net_counters = 0;
+  for (const auto& [name, counter] : sim.metrics().counters()) {
+    if (name.rfind("net.", 0) != 0) continue;
+    ++net_counters;
+    EXPECT_EQ(counter->value(), 0u) << name;
+  }
+  EXPECT_GT(net_counters, 6u);  // Totals plus per-type and per-node.
 }
 
 TEST(NetworkExtra, SenderCrashDoesNotRecallInFlightMessages) {
@@ -133,7 +138,7 @@ TEST(NetworkExtra, CrashedNodeCannotSend) {
   network.Send(std::move(msg));
   sim.Run();
   EXPECT_EQ(svc.handled, 0);
-  EXPECT_EQ(network.stats().total_sent, 0u);
+  EXPECT_EQ(sim.metrics().CounterValue("net.sent"), 0u);
 }
 
 TEST(NetworkExtra, ShortRpcTimeoutFiresBeforeSlowReply) {

@@ -58,13 +58,15 @@ TEST(NetworkFault, DropProbabilityHonoredStatistically) {
   for (int i = 0; i < kSends; ++i) h.network.Send(h.Msg(0, 1));
   h.sim.Run();
 
-  const NetworkStats& stats = h.network.stats();
-  EXPECT_EQ(stats.total_sent, uint64_t(kSends));
-  EXPECT_EQ(stats.total_dropped + stats.total_delivered, uint64_t(kSends));
+  const obs::MetricsRegistry& m = h.sim.metrics();
+  const uint64_t dropped = m.CounterValue("net.dropped");
+  const uint64_t delivered = m.CounterValue("net.delivered");
+  EXPECT_EQ(m.CounterValue("net.sent"), uint64_t(kSends));
+  EXPECT_EQ(dropped + delivered, uint64_t(kSends));
   // 30% +- 4 sigma (sigma ~= sqrt(N*p*(1-p)) ~= 29).
-  EXPECT_NEAR(double(stats.total_dropped), 0.3 * kSends, 120.0);
-  EXPECT_EQ(stats.by_type.at("m").dropped, stats.total_dropped);
-  EXPECT_EQ(h.sinks[1].arrivals.size(), stats.total_delivered);
+  EXPECT_NEAR(double(dropped), 0.3 * kSends, 120.0);
+  EXPECT_EQ(m.CounterValue("net.type.m.dropped"), dropped);
+  EXPECT_EQ(h.sinks[1].arrivals.size(), delivered);
 }
 
 TEST(NetworkFault, DuplicatedMessagesDeliveredExactlyTwice) {
@@ -76,12 +78,12 @@ TEST(NetworkFault, DuplicatedMessagesDeliveredExactlyTwice) {
   for (int i = 0; i < kSends; ++i) h.network.Send(h.Msg(0, 1));
   h.sim.Run();
 
-  const NetworkStats& stats = h.network.stats();
-  EXPECT_EQ(stats.total_sent, uint64_t(kSends));
-  EXPECT_EQ(stats.total_duplicated, uint64_t(kSends));
-  EXPECT_EQ(stats.total_delivered, uint64_t(2 * kSends));
+  const obs::MetricsRegistry& m = h.sim.metrics();
+  EXPECT_EQ(m.CounterValue("net.sent"), uint64_t(kSends));
+  EXPECT_EQ(m.CounterValue("net.duplicated"), uint64_t(kSends));
+  EXPECT_EQ(m.CounterValue("net.delivered"), uint64_t(2 * kSends));
   EXPECT_EQ(h.sinks[1].arrivals.size(), size_t(2 * kSends));
-  EXPECT_EQ(stats.by_type.at("m").duplicated, uint64_t(kSends));
+  EXPECT_EQ(m.CounterValue("net.type.m.duplicated"), uint64_t(kSends));
 }
 
 TEST(NetworkFault, ReorderingLetsLaterSendsOvertake) {
@@ -97,7 +99,7 @@ TEST(NetworkFault, ReorderingLetsLaterSendsOvertake) {
   h.sim.Run();
 
   ASSERT_EQ(h.sinks[1].arrivals.size(), size_t(kSends));
-  EXPECT_GT(h.network.stats().total_reordered, 0u);
+  EXPECT_GT(h.sim.metrics().CounterValue("net.reordered"), 0u);
   // With half the messages spiked by up to 100 time units, arrival order
   // must differ from send order.
   std::vector<std::string> order;
@@ -136,9 +138,9 @@ TEST(NetworkFault, OnFailedFiresForDroppedRequests) {
   h.network.Send(h.Msg(0, 1), [&] { on_failed_fired = true; });
   h.sim.Run();
   EXPECT_TRUE(on_failed_fired);
-  EXPECT_EQ(h.network.stats().total_dropped, 1u);
+  EXPECT_EQ(h.sim.metrics().CounterValue("net.dropped"), 1u);
   // The loss is a *fault-model* drop, not a reachability failure.
-  EXPECT_EQ(h.network.stats().total_failed, 0u);
+  EXPECT_EQ(h.sim.metrics().CounterValue("net.failed"), 0u);
 }
 
 TEST(NetworkFault, DroppedRequestSurfacesAsCallFailedNotTimeout) {
@@ -222,14 +224,15 @@ TEST(NetworkFault, ZeroedModelIsIdenticalToNoModel) {
       h.network.Send(h.Msg(i % 3, (i + 1) % 3, "t" + std::to_string(i % 5)));
     }
     h.sim.Run();
-    return std::make_pair(h.network.stats(), h.sinks[0].arrivals);
+    EXPECT_EQ(h.sim.metrics().CounterValue("net.dropped"), 0u);
+    EXPECT_EQ(h.sim.metrics().CounterValue("net.duplicated"), 0u);
+    // The whole registry snapshot: every "net.*" counter and event count.
+    return std::make_pair(h.sim.metrics().ToJson(), h.sinks[0].arrivals);
   };
-  auto [stats_plain, arrivals_plain] = run(false);
-  auto [stats_zeroed, arrivals_zeroed] = run(true);
-  EXPECT_EQ(stats_plain, stats_zeroed);
+  auto [metrics_plain, arrivals_plain] = run(false);
+  auto [metrics_zeroed, arrivals_zeroed] = run(true);
+  EXPECT_EQ(metrics_plain, metrics_zeroed);
   EXPECT_EQ(arrivals_plain, arrivals_zeroed);  // Same delivery times too.
-  EXPECT_EQ(stats_plain.total_dropped, 0u);
-  EXPECT_EQ(stats_plain.total_duplicated, 0u);
 }
 
 TEST(NetworkFault, ClearFaultsLiftsEverything) {
@@ -244,7 +247,7 @@ TEST(NetworkFault, ClearFaultsLiftsEverything) {
   h.network.Send(h.Msg(0, 1));
   h.sim.Run();
   EXPECT_EQ(h.sinks[1].arrivals.size(), 1u);
-  EXPECT_EQ(h.network.stats().total_dropped, 0u);
+  EXPECT_EQ(h.sim.metrics().CounterValue("net.dropped"), 0u);
 }
 
 TEST(NetworkFault, DuplicateOfFailedMessageCountsFailuresOnce) {
@@ -259,7 +262,7 @@ TEST(NetworkFault, DuplicateOfFailedMessageCountsFailuresOnce) {
   // Both copies are undeliverable, but only the original carries
   // on_failed — CallFailed must not fire twice per logical send.
   EXPECT_EQ(failures, 1);
-  EXPECT_EQ(h.network.stats().total_failed, 2u);
+  EXPECT_EQ(h.sim.metrics().CounterValue("net.failed"), 2u);
 }
 
 }  // namespace

@@ -55,7 +55,7 @@ TEST(Network, DeliversBetweenUpNodes) {
   h.sim.Run();
   EXPECT_TRUE(got);
   EXPECT_EQ(h.svc1.last_from, 0u);
-  EXPECT_EQ(h.network.stats().total_delivered, 2u);  // Request + reply.
+  EXPECT_EQ(h.sim.metrics().CounterValue("net.delivered"), 2u);  // Req+reply.
 }
 
 TEST(Network, SelfCallWorks) {
@@ -80,7 +80,7 @@ TEST(Network, CallToDownNodeFails) {
   h.sim.Run();
   EXPECT_TRUE(got);
   EXPECT_EQ(h.svc1.handled, 0);
-  EXPECT_EQ(h.network.stats().total_failed, 1u);
+  EXPECT_EQ(h.sim.metrics().CounterValue("net.failed"), 1u);
 }
 
 TEST(Network, AppErrorIsNotCallFailed) {
@@ -188,7 +188,7 @@ TEST(Network, MulticastGatherEmptyTargetsCompletes) {
   EXPECT_TRUE(done);
 }
 
-TEST(Network, PerTypeStatsAccumulate) {
+TEST(Network, PerTypeCountersAccumulate) {
   Harness h;
   bool a = false, b = false;
   h.rpc0.Call(1, "alpha", MakePayload<EchoPayload>(0),
@@ -197,12 +197,12 @@ TEST(Network, PerTypeStatsAccumulate) {
               [&](RpcResult) { b = true; });
   h.sim.Run();
   EXPECT_TRUE(a && b);
-  const auto& stats = h.network.stats();
-  EXPECT_EQ(stats.by_type.at("alpha").sent, 1u);
-  EXPECT_EQ(stats.by_type.at("alpha.reply").delivered, 1u);
-  EXPECT_EQ(stats.by_type.at("beta").sent, 1u);
+  const obs::MetricsRegistry& m = h.sim.metrics();
+  EXPECT_EQ(m.CounterValue("net.type.alpha.sent"), 1u);
+  EXPECT_EQ(m.CounterValue("net.type.alpha.reply.delivered"), 1u);
+  EXPECT_EQ(m.CounterValue("net.type.beta.sent"), 1u);
   // Node 1 received the "alpha" request and the "beta.reply".
-  EXPECT_EQ(stats.delivered_to.at(1), 2u);
+  EXPECT_EQ(m.CounterValue("net.delivered_to.1"), 2u);
 }
 
 }  // namespace

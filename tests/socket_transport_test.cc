@@ -58,8 +58,27 @@ TEST(SocketTransportTest, WritesReadsAndPartialWritesOverSockets) {
   }
 
   // Real frames crossed the wire (not just self-delivery).
-  EXPECT_GT(cluster.transport().frames_sent(), 0u);
-  EXPECT_GT(cluster.transport().frames_received(), 0u);
+  EXPECT_GT(cluster.transport().counters().frames_sent, 0u);
+  EXPECT_GT(cluster.transport().counters().frames_received, 0u);
+}
+
+TEST(SocketTransportTest, ZeroRetryAttemptsIsAnInvalidArgument) {
+  SocketCluster cluster(SmokeOptions());
+  ASSERT_TRUE(cluster.Start().ok());
+  for (int attempts : {0, -1}) {
+    auto w = cluster.WriteSyncRetry(0, 0, Update::Total({5}), attempts);
+    ASSERT_FALSE(w.ok());
+    EXPECT_EQ(w.status().code(), StatusCode::kInvalidArgument)
+        << w.status().ToString();
+    auto r = cluster.ReadSyncRetry(0, 0, attempts);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
+  // No attempt ran, so the object is still at its initial version.
+  auto r = cluster.ReadSync(0);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->version, 0u);
 }
 
 TEST(SocketTransportTest, EpochChangeExcludesAndReadmitsAFailedNode) {
