@@ -144,7 +144,7 @@ T Cluster::RunSync(Start start, const char* drained) {
 template <typename T, typename Attempt>
 T Cluster::Retry(int max_attempts, Attempt attempt) {
   const RetryPolicy& policy = options_.retry_policy;
-  T last = Status::Internal("no attempts made");
+  T last = Status::InvalidArgument("max_attempts must be >= 1");
   for (int i = 0; i < max_attempts; ++i) {
     last = attempt();
     if (last.ok() || !policy.ShouldRetry(last.status())) return last;

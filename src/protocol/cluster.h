@@ -175,7 +175,8 @@ class Cluster {
                                       storage::ObjectId object = 0);
 
   /// WriteSync with bounded retries on lock conflicts (randomized
-  /// backoff); the usual way clients drive writes.
+  /// backoff); the usual way clients drive writes. `max_attempts` < 1
+  /// returns InvalidArgument without running anything.
   [[nodiscard]] Result<WriteOutcome> WriteSyncRetry(NodeId coordinator,
                                       storage::ObjectId object, Update update,
                                       int max_attempts);

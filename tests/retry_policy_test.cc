@@ -78,6 +78,23 @@ TEST(RetryPolicy, ReadRetryCoversBothStatuses) {
   EXPECT_TRUE(r2.status().IsUnavailable()) << r2.status().ToString();
 }
 
+TEST(RetryPolicy, ZeroAttemptsIsAnInvalidArgument) {
+  // A caller bug, reported as such (the socket cluster's status for the
+  // same input) — and nothing runs, so no message or event is spent.
+  Cluster cluster(BaseOptions(11));
+  for (int attempts : {0, -1}) {
+    auto w = cluster.WriteSyncRetry(0, 0, Update::Partial(0, {1}), attempts);
+    ASSERT_FALSE(w.ok());
+    EXPECT_EQ(w.status().code(), StatusCode::kInvalidArgument)
+        << w.status().ToString();
+    auto r = cluster.ReadSyncRetry(0, 0, attempts);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
+  EXPECT_EQ(cluster.simulator().events_executed(), 0u);
+}
+
 TEST(RetryPolicy, ConflictStillRetriedByDefault) {
   // ShouldRetry is the single decision point; check its table directly.
   RetryPolicy def;
