@@ -39,7 +39,7 @@ AmortizationResult Run(uint32_t groups, uint32_t objects_per_group,
     opts.seed = 1000 + g;  // Same seed family per group index.
     opts.initial_value = {0};
     opts.start_epoch_daemons = true;
-    opts.daemon_options.check_interval = 400;
+    opts.epoch_check_interval = 400;
     Cluster cluster(opts);
 
     // Identical failure schedule for every configuration: a rolling

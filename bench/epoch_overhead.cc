@@ -33,8 +33,7 @@ CadenceResult RunCadence(sim::Time check_interval, double mtbf,
   opts.seed = seed;
   opts.initial_value = std::vector<uint8_t>(16, 0);
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = check_interval;
-  opts.daemon_options.leader_timeout = 3 * check_interval;
+  opts.epoch_check_interval = check_interval;
   Cluster cluster(opts);
 
   // Fault injector: per-node alternating exponential up/down periods.

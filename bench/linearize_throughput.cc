@@ -95,7 +95,7 @@ ClientHistory HarnessHistory(CoterieKind kind, uint64_t seed,
   opts.seed = seed;
   opts.initial_value = std::vector<uint8_t>(32, 0);
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 300;
+  opts.epoch_check_interval = 300;
   opts.fault_model.global.drop = 0.05;
   opts.fault_model.global.duplicate = 0.05;
   opts.fault_model.global.reorder = 0.10;

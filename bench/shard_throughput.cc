@@ -155,7 +155,7 @@ struct ClusterResult {
 ClusterResult RunLiveCluster(uint32_t objects, uint32_t ops) {
   protocol::ClusterOptions opts = ShardedOptions(objects);
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 500;
+  opts.epoch_check_interval = 500;
   protocol::Cluster cluster(opts);
 
   ClusterResult r;

@@ -35,7 +35,7 @@ int main() {
   options.seed = 7;
   options.initial_value = Bytes("................................");
   options.start_epoch_daemons = true;
-  options.daemon_options.check_interval = 250;
+  options.epoch_check_interval = 250;
   Cluster cluster(options);
 
   std::printf("file server: %u files on %u nodes, one shared epoch, "

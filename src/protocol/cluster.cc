@@ -72,19 +72,20 @@ Cluster::Cluster(ClusterOptions options)
         node_options));
   }
   if (!options_.start_epoch_daemons) return;
+  // The group lineage is checked through object 0, highest pool id first.
+  std::vector<NodeId> group_ranking = all_.ToVector();
+  std::reverse(group_ranking.begin(), group_ranking.end());
   for (uint32_t i = 0; i < options_.num_nodes; ++i) {
-    if (!table_) {
-      daemons_.push_back(std::make_unique<EpochDaemon>(
-          nodes_[i].get(), options_.daemon_options));
-      continue;
-    }
     std::vector<std::pair<storage::ObjectId, std::vector<NodeId>>> ranked;
-    for (storage::ObjectId o : nodes_[i]->HostedObjects()) {
-      ranked.push_back({o, table_->placement(o).ranking});
+    if (table_) {
+      for (storage::ObjectId o : nodes_[i]->HostedObjects()) {
+        ranked.push_back({o, table_->placement(o).ranking});
+      }
+    } else {
+      ranked.push_back({0, group_ranking});
     }
     muxes_.push_back(std::make_unique<EpochMux>(
-        nodes_[i].get(), std::move(ranked),
-        options_.daemon_options.check_interval));
+        nodes_[i].get(), std::move(ranked), options_.epoch_check_interval));
   }
 }
 
@@ -207,14 +208,12 @@ Result<ReadOutcome> Cluster::ReadSyncRetry(NodeId coordinator,
 void Cluster::Crash(NodeId id) {
   network_->SetNodeUp(id, false);
   nodes_[id]->Crash();
-  if (!daemons_.empty()) daemons_[id]->OnCrash();
   if (!muxes_.empty()) muxes_[id]->OnCrash();
 }
 
 void Cluster::Recover(NodeId id) {
   network_->SetNodeUp(id, true);
   nodes_[id]->Recover();
-  if (!daemons_.empty()) daemons_[id]->OnRecover();
   if (!muxes_.empty()) muxes_[id]->OnRecover();
 }
 

@@ -9,7 +9,6 @@
 #include "coterie/coterie.h"
 #include "coterie/grid.h"
 #include "net/network.h"
-#include "protocol/epoch_daemon.h"
 #include "protocol/epoch_mux.h"
 #include "protocol/history.h"
 #include "protocol/operations.h"
@@ -85,12 +84,13 @@ struct ClusterOptions {
   /// Governs WriteSyncRetry / ReadSyncRetry.
   RetryPolicy retry_policy;
 
-  /// Start the background epoch-check daemon on every node: an elected
-  /// EpochDaemon per node in group mode, a multiplexed per-object
-  /// EpochMux per node when sharded. Both check every
-  /// `daemon_options.check_interval`.
+  /// Start the background epoch-check daemon (an EpochMux) on every
+  /// node. It checks each lineage every `epoch_check_interval`: the
+  /// group lineage in group mode, each object's lineage when sharded.
   bool start_epoch_daemons = false;
-  EpochDaemonOptions daemon_options;
+  /// Period of the "steady (albeit infrequent) pulse of epoch checking
+  /// operations" (Section 2).
+  rt::Time epoch_check_interval = 300.0;
 
   /// Record structured trace events (RPC / 2PC / epoch spans) from the
   /// start. Off by default: tracing observes only and never perturbs the
@@ -128,7 +128,7 @@ class Cluster {
   const ClusterOptions& options() const { return options_; }
   /// The placement table of a sharded deployment; null in group mode.
   const ObjectTable* table() const { return table_.get(); }
-  /// Node `id`'s multiplexed epoch daemon (sharded, daemons started).
+  /// Node `id`'s epoch daemon (daemons started).
   EpochMux& mux(NodeId id) { return *muxes_[id]; }
 
   /// The nodes holding `object`'s replicas: its placement home set when
@@ -255,8 +255,7 @@ class Cluster {
   std::unique_ptr<coterie::CoterieRule> rule_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<ReplicaNode>> nodes_;
-  std::vector<std::unique_ptr<EpochDaemon>> daemons_;  ///< Group mode.
-  std::vector<std::unique_ptr<EpochMux>> muxes_;       ///< Sharded mode.
+  std::vector<std::unique_ptr<EpochMux>> muxes_;
   std::map<storage::ObjectId, HistoryRecorder> histories_;
 };
 

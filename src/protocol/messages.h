@@ -40,8 +40,6 @@ inline constexpr char kOutcome[] = "2pc-outcome";  ///< termination query
 inline constexpr char kEpochPoll[] = "epoch-poll";
 inline constexpr char kPropOffer[] = "prop-offer";
 inline constexpr char kPropData[] = "prop-data";
-inline constexpr char kElection[] = "election";
-inline constexpr char kLeader[] = "leader";
 }  // namespace msg
 
 /// The state tuple every replica reports (Section 4 / Appendix):
@@ -241,21 +239,6 @@ struct PropagationData : net::Payload {
 
 struct PropagationDataReply : net::Payload {
   Version new_version = 0;
-};
-
-// --- election --------------------------------------------------------------
-
-/// Bully election for the epoch-check initiator: "I contend; do you, a
-/// higher-numbered node, claim leadership?"
-struct ElectionRequest : net::Payload {};
-
-struct ElectionResponse : net::Payload {
-  bool alive = true;
-};
-
-/// Leader announcement.
-struct LeaderAnnouncement : net::Payload {
-  NodeId leader = kInvalidNode;
 };
 
 }  // namespace dcp::protocol

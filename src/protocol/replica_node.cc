@@ -72,6 +72,11 @@ const ObjectHome& ReplicaNode::home(ObjectId object) const {
   return it == catalog_.end() ? unlisted_ : it->second;
 }
 
+rt::Time ReplicaNode::last_peer_poll(ObjectId object) const {
+  const Lineage* lineage = FindLineage(home(object).scope);
+  return lineage == nullptr ? 0 : lineage->last_peer_poll;
+}
+
 storage::EpochRecord ReplicaNode::epoch(ObjectId object) const {
   auto it = objects_.find(object);
   if (it != objects_.end()) {
@@ -115,6 +120,7 @@ void ReplicaNode::Crash() {
   // participants resolve via presumed abort once we answer outcome
   // queries again ("no record, not deciding" => abort).
   coordinating_.clear();
+  for (auto& [scope, lineage] : lineages_) lineage.last_peer_poll = 0;
   if (durable_) durable_->Crash();
 }
 
@@ -437,7 +443,7 @@ Result<PayloadPtr> ReplicaNode::HandleRequest(NodeId from,
     return HandleOutcome(net::As<OutcomeRequest>(request));
   }
   if (type == msg::kEpochPoll) {
-    return HandleEpochPoll(net::As<EpochPollRequest>(request));
+    return HandleEpochPoll(from, net::As<EpochPollRequest>(request));
   }
   if (type == msg::kPropOffer) {
     return HandlePropOffer(from, net::As<PropagationOffer>(request));
@@ -445,7 +451,6 @@ Result<PayloadPtr> ReplicaNode::HandleRequest(NodeId from,
   if (type == msg::kPropData) {
     return HandlePropData(from, net::As<PropagationData>(request));
   }
-  if (extension_handler_) return extension_handler_(from, type, request);
   return Status::InvalidArgument("unknown request type: " + type);
 }
 
@@ -570,20 +575,23 @@ Result<PayloadPtr> ReplicaNode::HandleOutcome(const OutcomeRequest& req) {
   return PayloadPtr(std::move(resp));
 }
 
-Result<PayloadPtr> ReplicaNode::HandleEpochPoll(const EpochPollRequest& req) {
-  const Lineage* lineage = FindLineage(req.scope);
-  if (lineage == nullptr) {
+Result<PayloadPtr> ReplicaNode::HandleEpochPoll(NodeId from,
+                                                const EpochPollRequest& req) {
+  auto it = lineages_.find(req.scope);
+  if (it == lineages_.end()) {
     // A scoped poll for an object hosted elsewhere, or a group-wide poll
     // to a node that hosts only per-object lineages (a caller bug).
     return req.scope ? Status::NotFound("no such object")
                      : Status::InvalidArgument(
                            "node hosts no group-wide epoch lineage");
   }
+  Lineage& lineage = it->second;
+  if (from != self_) lineage.last_peer_poll = runtime()->Now();
   auto resp = std::make_shared<EpochPollResponse>();
   resp->node = self_;
-  resp->enumber = lineage->epoch->number;
-  resp->elist = lineage->epoch->list;
-  for (ObjectId id : lineage->objects) {
+  resp->enumber = lineage.epoch->number;
+  resp->elist = lineage.epoch->list;
+  for (ObjectId id : lineage.objects) {
     const storage::ReplicaStore& store = objects_.at(id);
     ObjectStateTuple t;
     t.object = id;

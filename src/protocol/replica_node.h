@@ -208,13 +208,11 @@ class ReplicaNode : public net::RpcService {
   /// Enqueues propagation duty (also used by epoch-change commits).
   void AddPropagationTargets(ObjectId object, const NodeSet& targets);
 
-  /// Handler for request types the node itself does not understand
-  /// (election traffic, installed by EpochDaemon).
-  using ExtensionHandler = std::function<Result<net::PayloadPtr>(
-      NodeId, const std::string&, const net::PayloadPtr&)>;
-  void set_extension_handler(ExtensionHandler handler) {
-    extension_handler_ = std::move(handler);
-  }
+  /// When another node last polled the epoch of `object`'s lineage here;
+  /// 0 if none has since birth or the last crash (the time is volatile).
+  /// The epoch daemon's duty rule reads polls as the heartbeat of the
+  /// lineage's checker.
+  rt::Time last_peer_poll(ObjectId object) const;
 
   /// True iff any 2PC participant action is prepared-but-undecided here.
   bool has_staged_transaction() const { return !staged_.empty(); }
@@ -269,6 +267,7 @@ class ReplicaNode : public net::RpcService {
     std::shared_ptr<storage::EpochRecord> epoch;
     NodeSet members;
     std::vector<ObjectId> objects;  ///< Hosted here, ascending.
+    rt::Time last_peer_poll = 0;    ///< Volatile; see last_peer_poll().
   };
 
   /// The state tuple of one hosted replica, as reported in lock replies.
@@ -295,7 +294,8 @@ class ReplicaNode : public net::RpcService {
   [[nodiscard]]
   Result<net::PayloadPtr> HandleOutcome(const OutcomeRequest& req);
   [[nodiscard]]
-  Result<net::PayloadPtr> HandleEpochPoll(const EpochPollRequest& req);
+  Result<net::PayloadPtr> HandleEpochPoll(NodeId from,
+                                          const EpochPollRequest& req);
   [[nodiscard]] Result<net::PayloadPtr> HandlePropOffer(NodeId from,
                                           const PropagationOffer& req);
   [[nodiscard]] Result<net::PayloadPtr> HandlePropData(NodeId from,
@@ -366,7 +366,6 @@ class ReplicaNode : public net::RpcService {
   const coterie::CoterieRule* rule_;
   ReplicaNodeOptions options_;
   NodeCounters counters_;
-  ExtensionHandler extension_handler_;
 
   /// Durable engine; null with durability off. `initial_value_` is the
   /// birth state Recover() rebuilds from when the disk is empty.

@@ -84,7 +84,8 @@ Status StatusFromWire(uint8_t code, std::string msg) {
 /// Payload discriminators. The wire carries the request type string in
 /// the envelope; the discriminator additionally distinguishes request
 /// from response bodies of one type and guards against a type/kind
-/// mismatch after stream corruption.
+/// mismatch after stream corruption. Values 18-20 carried the retired
+/// election bodies and now decode as malformed; a new body starts at 21.
 enum class Body : uint8_t {
   kNone = 0,
   kLockRequest,
@@ -104,9 +105,6 @@ enum class Body : uint8_t {
   kPropagationOfferReply,
   kPropagationData,
   kPropagationDataReply,
-  kElectionRequest,
-  kElectionResponse,
-  kLeaderAnnouncement,
 };
 
 /// Encodes one concrete payload. Returns false for an unknown dynamic
@@ -227,20 +225,6 @@ bool PutPayload(ByteWriter& w, const net::PayloadPtr& p) {
   if (auto* v = dynamic_cast<const PropagationDataReply*>(raw)) {
     w.U8(static_cast<uint8_t>(Body::kPropagationDataReply));
     w.U64(v->new_version);
-    return true;
-  }
-  if (dynamic_cast<const ElectionRequest*>(raw) != nullptr) {
-    w.U8(static_cast<uint8_t>(Body::kElectionRequest));
-    return true;
-  }
-  if (auto* v = dynamic_cast<const ElectionResponse*>(raw)) {
-    w.U8(static_cast<uint8_t>(Body::kElectionResponse));
-    w.Bool(v->alive);
-    return true;
-  }
-  if (auto* v = dynamic_cast<const LeaderAnnouncement*>(raw)) {
-    w.U8(static_cast<uint8_t>(Body::kLeaderAnnouncement));
-    w.U32(v->leader);
     return true;
   }
   return false;
@@ -388,18 +372,6 @@ net::PayloadPtr GetPayload(ByteReader& r, bool* ok) {
     case Body::kPropagationDataReply: {
       auto v = std::make_shared<PropagationDataReply>();
       v->new_version = r.U64();
-      return v;
-    }
-    case Body::kElectionRequest:
-      return std::make_shared<ElectionRequest>();
-    case Body::kElectionResponse: {
-      auto v = std::make_shared<ElectionResponse>();
-      v->alive = r.Bool();
-      return v;
-    }
-    case Body::kLeaderAnnouncement: {
-      auto v = std::make_shared<LeaderAnnouncement>();
-      v->leader = r.U32();
       return v;
     }
   }

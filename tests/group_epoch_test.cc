@@ -175,7 +175,7 @@ TEST(GroupEpoch, PollTrafficIsPerGroupNotPerObject) {
 TEST(GroupEpoch, ChurnWithManyObjects) {
   ClusterOptions opts = GroupOptions(3);
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 200;
+  opts.epoch_check_interval = 200;
   Cluster cluster(opts);
   Rng rng(4242);
   for (int round = 0; round < 8; ++round) {

@@ -34,7 +34,7 @@ ClusterOptions BaseOptions(CoterieKind kind, uint64_t seed) {
   opts.seed = seed;
   opts.initial_value = std::vector<uint8_t>(32, 0);
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 300;
+  opts.epoch_check_interval = 300;
   // The standing message-level fault model the whole run lives under:
   // >=5% drop plus duplication and reordering on every link.
   opts.fault_model.global.drop = 0.05;

@@ -40,7 +40,7 @@ ClusterOptions SweepOptions(CoterieKind kind, uint64_t seed) {
   opts.seed = seed;
   opts.initial_value = std::vector<uint8_t>(8, 0);
   opts.start_epoch_daemons = true;
-  opts.daemon_options.check_interval = 400;
+  opts.epoch_check_interval = 400;
   return opts;
 }
 
