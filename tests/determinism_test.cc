@@ -6,9 +6,10 @@
 //
 // The *IsPinned cases compare digests of seeded runs (group mode with
 // epoch daemons and churn, the message nemesis, the durable crash-point
-// nemesis, sharded mode with muxes) against constants. They catch what a
-// same-build comparison cannot: a change that alters a seeded schedule
-// across builds. Each pinned run also re-forms at least one epoch.
+// nemesis, sharded mode with muxes, the baseline stacks under crashes)
+// against constants. They catch what a same-build comparison cannot: a
+// change that alters a seeded schedule across builds. Each pinned run of
+// the paper's protocol also re-forms at least one epoch.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/accessible_copies.h"
 #include "harness/fault_injector.h"
 #include "harness/nemesis.h"
 #include "harness/workload.h"
@@ -416,6 +418,78 @@ TEST(Determinism, ShardedFingerprintIsPinned) {
   // A change here means seeded sharded runs no longer replay
   // byte-identically across builds.
   EXPECT_EQ(RunShardedOnce(2025), 0xbf6b3457d2b15911ull);
+}
+
+// --- baseline determinism --------------------------------------------------
+// One baseline stack under crash faults (accessible copies also runs a view
+// change from a rotating live node every 500 time units), folded into one
+// digest: every registry counter, the view changes' outcomes, simulator
+// events executed, and each replica's fingerprint, version and epoch.
+
+uint64_t RunBaselineOnce(harness::Stack stack, CoterieKind coterie,
+                         uint64_t seed) {
+  ClusterOptions opts;
+  opts.num_nodes = 9;
+  opts.coterie = coterie;
+  opts.seed = seed;
+  opts.initial_value = std::vector<uint8_t>(32, 0);
+  Cluster cluster(opts);
+
+  harness::FaultInjector::Options fopts;
+  fopts.mtbf = 6000;
+  fopts.mttr = 900;
+  fopts.seed = seed + 1;
+  harness::FaultInjector faults(&cluster, fopts);
+
+  harness::WorkloadDriver::Options wopts;
+  wopts.arrival_rate = 0.01;
+  wopts.seed = seed + 2;
+  wopts.stack = stack;
+  harness::WorkloadDriver workload(&cluster, wopts);
+
+  uint64_t h = kFnvBasis;
+  for (uint32_t round = 0; round < 120; ++round) {
+    cluster.RunFor(500);
+    NodeSet up = cluster.UpNodes();
+    if (stack != harness::Stack::kAccessibleCopies || up.Empty()) continue;
+    NodeId from = up.NthMember(round % up.Size());
+    baseline::StartViewChange(&cluster.node(from), [&h](Status s) {
+      h = FoldBytes(h, s.ToString());
+    });
+  }
+  workload.Stop();
+  faults.Stop();
+  cluster.RunFor(4000);
+
+  EXPECT_GT(cluster.metrics().CounterValue("workload.write.committed"), 0u);
+  EXPECT_GT(cluster.metrics().CounterValue("workload.write.failed"), 0u)
+      << "the pinned run must see crash faults refuse some writes";
+  for (const auto& [name, counter] : cluster.metrics().counters()) {
+    h = Fold(FoldBytes(h, name), counter->value());
+  }
+  h = Fold(h, cluster.simulator().events_executed());
+  for (uint32_t i = 0; i < 9; ++i) {
+    const storage::ReplicaStore& s = cluster.node(i).store();
+    h = Fold(h, s.object().Fingerprint());
+    h = Fold(Fold(h, s.version()), s.epoch_number());
+  }
+  return h;
+}
+
+TEST(Determinism, BaselineFingerprintIsPinned) {
+  // A change here means seeded runs of a baseline stack no longer replay
+  // byte-identically across builds.
+  EXPECT_EQ(RunBaselineOnce(harness::Stack::kStatic, CoterieKind::kGrid, 31),
+            0xee5cec941eb3fb61ull);
+  EXPECT_EQ(
+      RunBaselineOnce(harness::Stack::kStatic, CoterieKind::kMajority, 32),
+      0x469f94b610d5c2e1ull);
+  EXPECT_EQ(RunBaselineOnce(harness::Stack::kDynamicVoting,
+                            CoterieKind::kMajority, 33),
+            0x1f371ea63d0efc17ull);
+  EXPECT_EQ(RunBaselineOnce(harness::Stack::kAccessibleCopies,
+                            CoterieKind::kMajority, 34),
+            0xe82ab26b820aaa65ull);
 }
 
 TEST(Determinism, ScenarioGenerationIsPureFunctionOfSeed) {
