@@ -1,52 +1,34 @@
 #include "baseline/accessible_copies.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 
-#include "net/rpc.h"
-#include "protocol/messages.h"
-#include "protocol/two_phase.h"
+#include "baseline/baseline_op.h"
 
 namespace dcp::baseline {
 namespace {
 
-using protocol::EpochPollRequest;
 using protocol::EpochPollResponse;
 using protocol::LockMode;
-using protocol::LockOwner;
-using protocol::LockRequest;
-using protocol::LockResponse;
 using protocol::ObjectAction;
+using protocol::ReadOutcome;
 using protocol::ReplicaNode;
-using protocol::ReplicaStateTuple;
 using protocol::StagedAction;
-using protocol::TwoPhaseCommit;
-using protocol::UnlockRequest;
 using protocol::Version;
-
-void ReleaseAll(ReplicaNode* node, const LockOwner& owner,
-                const NodeSet& targets, std::function<void()> after) {
-  auto unlock = std::make_shared<UnlockRequest>();
-  unlock->owner = owner;
-  net::MulticastGather(&node->rpc(), targets, protocol::msg::kUnlock, unlock,
-                       [after = std::move(after)](net::GatherResult) {
-                         after();
-                       });
-}
 
 // ---------------------------------------------------------------------------
 // Write: all members of the current view.
 // ---------------------------------------------------------------------------
 
-class AcWriteOp : public std::enable_shared_from_this<AcWriteOp> {
+class AcWriteOp : public BaselineOp {
  public:
   AcWriteOp(ReplicaNode* node, protocol::Update update,
             protocol::WriteDone done)
-      : node_(node), update_(std::move(update)), done_(std::move(done)) {
-    owner_.coordinator = node_->self();
-    owner_.operation_id = node_->NextOperationId();
-  }
+      : BaselineOp(node, LockMode::kExclusive, std::move(done), {}),
+        update_(std::move(update)) {}
 
   void Start() {
     // The coordinator must itself believe it is in the view (an evicted
@@ -54,31 +36,21 @@ class AcWriteOp : public std::enable_shared_from_this<AcWriteOp> {
     view_ = node_->epoch().list;
     view_id_ = node_->epoch().number;
     if (!view_.Contains(node_->self())) {
-      done_(Status::Unavailable("coordinator not in the current view"));
+      Done(Status::Unavailable("coordinator not in the current view"));
       return;
     }
-    auto req = std::make_shared<LockRequest>();
-    req->owner = owner_;
-    req->mode = LockMode::kExclusive;
-    auto self = shared_from_this();
-    net::MulticastGather(
-        &node_->rpc(), view_, protocol::msg::kLock, req,
+    auto self = Self<AcWriteOp>();
+    protocol::LockRound(
+        node_, owner_, mode_, /*object=*/0, /*seniority=*/0, view_,
         [self](net::GatherResult g) {
-          bool conflict = false;
-          for (auto& [n, r] : g.replies) {
-            if (r.ok()) {
-              self->held_[n] = net::As<LockResponse>(r.response).state;
-            } else if (!r.call_failed()) {
-              conflict = true;
-            }
-          }
+          bool refused = protocol::FoldGrants(g, &self->held_);
           // Write-all discipline: EVERY view member must answer, with
           // the same view installed.
           if (self->held_.size() != self->view_.Size()) {
-            self->Fail(conflict ? Status::Conflict("view member busy")
-                                : Status::Unavailable(
-                                      "view member unreachable; run a view "
-                                      "change"));
+            self->Fail(refused ? Status::Conflict("view member busy")
+                               : Status::Unavailable(
+                                     "view member unreachable; run a view "
+                                     "change"));
             return;
           }
           for (const auto& [n, t] : self->held_) {
@@ -87,12 +59,12 @@ class AcWriteOp : public std::enable_shared_from_this<AcWriteOp> {
               return;
             }
           }
-          self->Commit();
+          self->WriteAll();
         });
   }
 
  private:
-  void Commit() {
+  void WriteAll() {
     // All view members are current (write-all keeps them so; view
     // formation reconciled them), so a partial update applies cleanly.
     Version max_version = 0;
@@ -109,106 +81,50 @@ class AcWriteOp : public std::enable_shared_from_this<AcWriteOp> {
       act.objects.push_back(std::move(obj));
       actions[n] = std::move(act);
     }
-    Version new_version = max_version + 1;
-    auto self = shared_from_this();
-    TwoPhaseCommit::Run(node_, owner_, std::move(actions), nullptr,
-                        [self, new_version](Status s) {
-                          if (s.ok()) {
-                            self->done_(protocol::WriteOutcome{new_version});
-                          } else {
-                            self->done_(s);
-                          }
-                        });
+    Commit(std::move(actions), max_version + 1);
   }
 
-  void Fail(Status status) {
-    NodeSet held;
-    for (const auto& [n, t] : held_) held.Insert(n);
-    auto self = shared_from_this();
-    ReleaseAll(node_, owner_, held, [self, status] { self->done_(status); });
-  }
-
-  ReplicaNode* node_;
   protocol::Update update_;
-  protocol::WriteDone done_;
-  LockOwner owner_;
   NodeSet view_;
   storage::EpochNumber view_id_ = 0;
-  std::map<NodeId, ReplicaStateTuple> held_;
 };
 
 // ---------------------------------------------------------------------------
 // Read: one member of the view.
 // ---------------------------------------------------------------------------
 
-class AcReadOp : public std::enable_shared_from_this<AcReadOp> {
+class AcReadOp : public BaselineOp {
  public:
   AcReadOp(ReplicaNode* node, protocol::ReadDone done)
-      : node_(node), done_(std::move(done)) {
-    owner_.coordinator = node_->self();
-    owner_.operation_id = node_->NextOperationId();
-  }
+      : BaselineOp(node, LockMode::kShared, {}, std::move(done)) {}
 
   void Start() {
     NodeSet view = node_->epoch().list;
     if (!view.Contains(node_->self())) {
-      done_(Status::Unavailable("coordinator not in the current view"));
+      Done(Status::Unavailable("coordinator not in the current view"));
       return;
     }
     // Read-one, rotated for load sharing.
-    target_ = view.NthMember(static_cast<uint32_t>(
+    NodeId target = view.NthMember(static_cast<uint32_t>(
         (owner_.operation_id * 0x9E3779B97F4A7C15ULL) % view.Size()));
-    view_id_ = node_->epoch().number;
-    auto req = std::make_shared<LockRequest>();
-    req->owner = owner_;
-    req->mode = LockMode::kShared;
-    auto self = shared_from_this();
-    node_->rpc().Call(
-        target_, protocol::msg::kLock, req, [self](net::RpcResult r) {
+    storage::EpochNumber view_id = node_->epoch().number;
+    auto self = Self<AcReadOp>();
+    protocol::LockRound(
+        node_, owner_, mode_, /*object=*/0, /*seniority=*/0, NodeSet({target}),
+        [self, target, view_id](net::GatherResult g) {
+          const net::RpcResult& r = g.replies.at(target);
           if (!r.ok()) {
-            self->done_(r.call_failed() ? r.transport : r.app);
+            self->Done(r.call_failed() ? r.transport : r.app);
             return;
           }
-          const auto& state = net::As<LockResponse>(r.response).state;
-          if (state.enumber != self->view_id_) {
+          protocol::FoldGrants(g, &self->held_);
+          if (self->held_.at(target).enumber != view_id) {
             self->Fail(Status::Aborted("view changed during the read"));
             return;
           }
-          self->Fetch();
+          self->FetchAndRelease(target);
         });
   }
-
- private:
-  void Fetch() {
-    auto req = std::make_shared<protocol::FetchRequest>();
-    req->owner = owner_;
-    auto self = shared_from_this();
-    node_->rpc().Call(
-        target_, protocol::msg::kFetch, req, [self](net::RpcResult r) {
-          if (!r.ok()) {
-            self->Fail(r.call_failed() ? r.transport : r.app);
-            return;
-          }
-          const auto& resp = net::As<protocol::FetchResponse>(r.response);
-          protocol::ReadOutcome out;
-          out.version = resp.version;
-          out.data = resp.data;
-          ReleaseAll(self->node_, self->owner_, NodeSet({self->target_}),
-                     [self, out = std::move(out)] { self->done_(out); });
-        });
-  }
-
-  void Fail(Status status) {
-    auto self = shared_from_this();
-    ReleaseAll(node_, owner_, NodeSet({target_}),
-               [self, status] { self->done_(status); });
-  }
-
-  ReplicaNode* node_;
-  protocol::ReadDone done_;
-  LockOwner owner_;
-  NodeId target_ = kInvalidNode;
-  storage::EpochNumber view_id_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -225,15 +141,10 @@ class ViewChangeOp : public std::enable_shared_from_this<ViewChangeOp> {
 
   void Start() {
     auto self = shared_from_this();
-    net::MulticastGather(
-        &node_->rpc(), node_->all_nodes(), protocol::msg::kEpochPoll,
-        net::MakePayload<EpochPollRequest>(), [self](net::GatherResult g) {
-          std::map<NodeId, EpochPollResponse> responded;
-          for (auto& [n, r] : g.replies) {
-            if (r.ok()) responded[n] = net::As<EpochPollResponse>(r.response);
-          }
-          self->Evaluate(std::move(responded));
-        });
+    protocol::PollEpochs(node_, node_->all_nodes(), std::nullopt,
+                         [self](std::map<NodeId, EpochPollResponse> responded) {
+                           self->Evaluate(std::move(responded));
+                         });
   }
 
  private:
@@ -245,89 +156,85 @@ class ViewChangeOp : public std::enable_shared_from_this<ViewChangeOp> {
           " replicas accessible; threshold is " + std::to_string(threshold)));
       return;
     }
-    NodeSet new_view;
     storage::EpochNumber max_view = 0;
-    Version max_version = 0;
-    NodeId freshest = kInvalidNode;
     for (const auto& [n, resp] : responded) {
-      new_view.Insert(n);
+      new_view_.Insert(n);
       max_view = std::max(max_view, resp.enumber);
       for (const auto& t : resp.objects) {
-        if (t.object == 0 && (freshest == kInvalidNode ||
-                              t.version > max_version)) {
-          max_version = t.version;
-          freshest = n;
+        if (t.object == 0 && (freshest_ == kInvalidNode ||
+                              t.version > max_version_)) {
+          max_version_ = t.version;
+          freshest_ = n;
         }
       }
     }
-    if (new_view == node_->epoch().list &&
+    if (new_view_ == node_->epoch().list &&
         max_view == node_->epoch().number) {
       done_(Status::OK());  // Nothing changed.
       return;
     }
+    view_id_ = max_view + 1;
     // Synchronous reconciliation: fetch the freshest contents so the new
     // view starts uniform (the cost the paper's asynchronous propagation
     // avoids paying on the critical path).
-    auto lock_req = std::make_shared<LockRequest>();
-    lock_req->owner = owner_;
-    lock_req->mode = LockMode::kShared;
     auto self = shared_from_this();
-    node_->rpc().Call(
-        freshest, protocol::msg::kLock, lock_req,
-        [self, freshest, max_view, max_version,
-         new_view](net::RpcResult r) {
-          if (!r.ok()) {
-            self->done_(Status::Unavailable("freshest replica vanished"));
-            return;
-          }
-          auto fetch = std::make_shared<protocol::FetchRequest>();
-          fetch->owner = self->owner_;
-          self->node_->rpc().Call(
-              freshest, protocol::msg::kFetch, fetch,
-              [self, freshest, max_view, max_version,
-               new_view](net::RpcResult rr) {
-                NodeSet to_unlock({freshest});
-                if (!rr.ok()) {
-                  ReleaseAll(self->node_, self->owner_, to_unlock, [self] {
-                    self->done_(
-                        Status::Unavailable("reconciliation fetch failed"));
-                  });
-                  return;
+    protocol::LockRound(node_, owner_, LockMode::kShared, /*object=*/0,
+                        /*seniority=*/0, NodeSet({freshest_}),
+                        [self](net::GatherResult g) {
+                          if (!g.replies.at(self->freshest_).ok()) {
+                            self->done_(Status::Unavailable(
+                                "freshest replica vanished"));
+                            return;
+                          }
+                          self->Reconcile();
+                        });
+  }
+
+  void Reconcile() {
+    auto self = shared_from_this();
+    protocol::FetchRound(
+        node_, owner_, /*object=*/0, freshest_,
+        [self](Result<ReadOutcome> r) {
+          protocol::UnlockRound(
+              self->node_, self->owner_, NodeSet({self->freshest_}),
+              [self, r = std::move(r)] {
+                if (r.ok()) {
+                  self->Install(r->data);
+                } else {
+                  self->done_(
+                      Status::Unavailable("reconciliation fetch failed"));
                 }
-                auto data = net::As<protocol::FetchResponse>(rr.response);
-                ReleaseAll(self->node_, self->owner_, to_unlock,
-                           [self, max_view, max_version, new_view,
-                            data = std::move(data)] {
-                             self->Install(new_view, max_view + 1,
-                                           max_version, data.data);
-                           });
               });
         });
   }
 
-  void Install(const NodeSet& new_view, storage::EpochNumber view_id,
-               Version version, const std::vector<uint8_t>& contents) {
+  void Install(const std::vector<uint8_t>& contents) {
     std::map<NodeId, StagedAction> actions;
-    for (NodeId member : new_view) {
+    for (NodeId member : new_view_) {
       StagedAction act;
       act.install_epoch = true;
-      act.epoch_number = view_id;
-      act.epoch_list = new_view;
+      act.epoch_number = view_id_;
+      act.epoch_list = new_view_;
       ObjectAction obj;
       obj.install_snapshot = true;  // No-op for already-current members.
-      obj.snapshot_version = version;
+      obj.snapshot_version = max_version_;
       obj.snapshot = protocol::Update::Total(contents);
       act.objects.push_back(std::move(obj));
       actions[member] = std::move(act);
     }
     auto self = shared_from_this();
-    TwoPhaseCommit::Run(node_, owner_, std::move(actions), nullptr,
-                        [self](Status s) { self->done_(s); });
+    protocol::TwoPhaseCommit::Run(node_, owner_, std::move(actions), nullptr,
+                                  [self](Status s) { self->done_(s); });
   }
 
   ReplicaNode* node_;
   protocol::EpochCheckDone done_;
-  LockOwner owner_;
+  protocol::LockOwner owner_;
+  /// The view the change installs and the replica it reconciles from.
+  NodeSet new_view_;
+  storage::EpochNumber view_id_ = 0;
+  NodeId freshest_ = kInvalidNode;
+  Version max_version_ = 0;
 };
 
 }  // namespace

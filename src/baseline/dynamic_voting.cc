@@ -4,40 +4,21 @@
 #include <memory>
 #include <utility>
 
-#include "net/rpc.h"
-#include "protocol/messages.h"
-#include "protocol/two_phase.h"
+#include "baseline/baseline_op.h"
 
 namespace dcp::baseline {
 namespace {
 
 using protocol::LockMode;
-using protocol::LockOwner;
-using protocol::LockRequest;
-using protocol::LockResponse;
 using protocol::ReplicaNode;
 using protocol::ReplicaStateTuple;
 using protocol::StagedAction;
-using protocol::TwoPhaseCommit;
 using protocol::Version;
-
-void ReleaseAll(ReplicaNode* node, const LockOwner& owner,
-                const std::map<NodeId, ReplicaStateTuple>& held,
-                std::function<void()> after) {
-  NodeSet targets;
-  for (const auto& [n, t] : held) targets.Insert(n);
-  auto unlock = std::make_shared<protocol::UnlockRequest>();
-  unlock->owner = owner;
-  net::MulticastGather(&node->rpc(), targets, protocol::msg::kUnlock, unlock,
-                       [after = std::move(after)](net::GatherResult) {
-                         after();
-                       });
-}
 
 /// The majority-of-update-sites test shared by reads and writes.
 /// On success fills the outputs; on failure returns the reason.
 Status EvaluateDistinguishedPartition(
-    const std::map<NodeId, ReplicaStateTuple>& held, Version* max_version,
+    const protocol::TupleMap& held, Version* max_version,
     NodeSet* update_sites) {
   if (held.empty()) return Status::Unavailable("no replica reachable");
   Version m = 0;
@@ -64,37 +45,20 @@ Status EvaluateDistinguishedPartition(
   return Status::OK();
 }
 
-class DvOp : public std::enable_shared_from_this<DvOp> {
+class DvOp : public BaselineOp {
  public:
-  DvOp(ReplicaNode* node, bool is_write, std::vector<uint8_t> value,
+  DvOp(ReplicaNode* node, LockMode mode, std::vector<uint8_t> value,
        protocol::WriteDone wdone, protocol::ReadDone rdone)
-      : node_(node),
-        is_write_(is_write),
-        value_(std::move(value)),
-        wdone_(std::move(wdone)),
-        rdone_(std::move(rdone)) {
-    owner_.coordinator = node_->self();
-    owner_.operation_id = node_->NextOperationId();
-  }
+      : BaselineOp(node, mode, std::move(wdone), std::move(rdone)),
+        value_(std::move(value)) {}
 
   void Start() {
     // Dynamic voting polls (and locks) every replica, failures included.
-    auto req = std::make_shared<LockRequest>();
-    req->owner = owner_;
-    req->mode = is_write_ ? LockMode::kExclusive : LockMode::kShared;
-    auto self = shared_from_this();
-    net::MulticastGather(
-        &node_->rpc(), node_->all_nodes(), protocol::msg::kLock, req,
-        [self](net::GatherResult g) {
-          bool conflict = false;
-          for (auto& [n, r] : g.replies) {
-            if (r.ok()) {
-              self->held_[n] = net::As<LockResponse>(r.response).state;
-            } else if (!r.call_failed()) {
-              conflict = true;
-            }
-          }
-          if (conflict) {
+    auto self = Self<DvOp>();
+    protocol::LockRound(
+        node_, owner_, mode_, /*object=*/0, /*seniority=*/0,
+        node_->all_nodes(), [self](net::GatherResult g) {
+          if (protocol::FoldGrants(g, &self->held_)) {
             self->Fail(Status::Conflict("lock conflict during poll"));
             return;
           }
@@ -112,17 +76,16 @@ class DvOp : public std::enable_shared_from_this<DvOp> {
       Fail(s);
       return;
     }
-    if (is_write_) {
-      CommitWrite(max_version);
+    if (mode_ == LockMode::kExclusive) {
+      WriteTotal(max_version);
     } else {
-      Fetch(max_version);
+      ReadNewest(max_version);
     }
   }
 
-  void CommitWrite(Version max_version) {
+  void WriteTotal(Version max_version) {
     Version new_version = max_version + 1;
-    NodeSet respondents;
-    for (const auto& [n, t] : held_) respondents.Insert(n);
+    NodeSet respondents = protocol::KeysOf(held_);
 
     std::map<NodeId, StagedAction> actions;
     for (const auto& [n, t] : held_) {
@@ -137,18 +100,10 @@ class DvOp : public std::enable_shared_from_this<DvOp> {
       act.epoch_list = respondents;
       actions[n] = std::move(act);
     }
-    auto self = shared_from_this();
-    TwoPhaseCommit::Run(node_, owner_, std::move(actions), nullptr,
-                        [self, new_version](Status s) {
-                          if (s.ok()) {
-                            self->wdone_(protocol::WriteOutcome{new_version});
-                          } else {
-                            self->wdone_(s);
-                          }
-                        });
+    Commit(std::move(actions), new_version);
   }
 
-  void Fetch(Version max_version) {
+  void ReadNewest(Version max_version) {
     NodeId best = kInvalidNode;
     for (const auto& [n, t] : held_) {
       if (t.version == max_version) {
@@ -156,42 +111,10 @@ class DvOp : public std::enable_shared_from_this<DvOp> {
         break;
       }
     }
-    auto req = std::make_shared<protocol::FetchRequest>();
-    req->owner = owner_;
-    auto self = shared_from_this();
-    node_->rpc().Call(
-        best, protocol::msg::kFetch, req, [self](net::RpcResult r) {
-          if (!r.ok()) {
-            self->Fail(r.call_failed() ? r.transport : r.app);
-            return;
-          }
-          const auto& resp = net::As<protocol::FetchResponse>(r.response);
-          protocol::ReadOutcome out;
-          out.version = resp.version;
-          out.data = resp.data;
-          ReleaseAll(self->node_, self->owner_, self->held_,
-                     [self, out = std::move(out)] { self->rdone_(out); });
-        });
+    FetchAndRelease(best);
   }
 
-  void Fail(Status status) {
-    auto self = shared_from_this();
-    ReleaseAll(node_, owner_, held_, [self, status] {
-      if (self->is_write_) {
-        self->wdone_(status);
-      } else {
-        self->rdone_(status);
-      }
-    });
-  }
-
-  ReplicaNode* node_;
-  bool is_write_;
   std::vector<uint8_t> value_;
-  protocol::WriteDone wdone_;
-  protocol::ReadDone rdone_;
-  LockOwner owner_;
-  std::map<NodeId, ReplicaStateTuple> held_;
 };
 
 }  // namespace
@@ -199,14 +122,14 @@ class DvOp : public std::enable_shared_from_this<DvOp> {
 void StartDynamicVotingWrite(protocol::ReplicaNode* node,
                              std::vector<uint8_t> value,
                              protocol::WriteDone done) {
-  auto op = std::make_shared<DvOp>(node, /*is_write=*/true, std::move(value),
+  auto op = std::make_shared<DvOp>(node, LockMode::kExclusive, std::move(value),
                                    std::move(done), protocol::ReadDone{});
   op->Start();
 }
 
 void StartDynamicVotingRead(protocol::ReplicaNode* node,
                             protocol::ReadDone done) {
-  auto op = std::make_shared<DvOp>(node, /*is_write=*/false,
+  auto op = std::make_shared<DvOp>(node, LockMode::kShared,
                                    std::vector<uint8_t>{},
                                    protocol::WriteDone{}, std::move(done));
   op->Start();

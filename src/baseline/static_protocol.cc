@@ -1,92 +1,64 @@
 #include "baseline/static_protocol.h"
 
-#include <cassert>
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 
-#include "net/rpc.h"
-#include "protocol/messages.h"
-#include "protocol/two_phase.h"
+#include "baseline/baseline_op.h"
 
 namespace dcp::baseline {
 namespace {
 
 using protocol::LockMode;
-using protocol::LockOwner;
-using protocol::LockRequest;
-using protocol::LockResponse;
 using protocol::ReplicaNode;
-using protocol::ReplicaStateTuple;
 using protocol::StagedAction;
-using protocol::TwoPhaseCommit;
-using protocol::UnlockRequest;
 using protocol::Version;
 
-uint64_t SelectorFor(NodeId self, uint64_t op_id) {
-  uint64_t x = (static_cast<uint64_t>(self) << 32) ^ op_id;
-  x *= 0x9E3779B97F4A7C15ULL;
-  return x ^ (x >> 29);
-}
-
-void ReleaseLocks(ReplicaNode* node, const LockOwner& owner,
-                  const NodeSet& targets, std::function<void()> after) {
-  auto unlock = std::make_shared<UnlockRequest>();
-  unlock->owner = owner;
-  net::MulticastGather(&node->rpc(), targets, protocol::msg::kUnlock, unlock,
-                       [after = std::move(after)](net::GatherResult) {
-                         after();
-                       });
-}
-
-class StaticWriteOp : public std::enable_shared_from_this<StaticWriteOp> {
+/// A static-quorum write (exclusive locks, then a total write to every
+/// member) or read (shared locks, then a fetch from the highest-version
+/// member) over the quorum the rule picks from the full node set.
+class StaticOp : public BaselineOp {
  public:
-  StaticWriteOp(ReplicaNode* node, std::vector<uint8_t> value,
-                protocol::WriteDone done)
-      : node_(node), value_(std::move(value)), done_(std::move(done)) {
-    owner_.coordinator = node_->self();
-    owner_.operation_id = node_->NextOperationId();
-  }
+  StaticOp(ReplicaNode* node, LockMode mode, std::vector<uint8_t> value,
+           protocol::WriteDone wdone, protocol::ReadDone rdone)
+      : BaselineOp(node, mode, std::move(wdone), std::move(rdone)),
+        value_(std::move(value)) {}
 
   void Start() {
-    uint64_t selector = SelectorFor(owner_.coordinator, owner_.operation_id);
+    bool write = mode_ == LockMode::kExclusive;
+    uint64_t selector = protocol::QuorumSelector(owner_);
     Result<NodeSet> quorum =
-        node_->rule().WriteQuorum(node_->all_nodes(), selector);
+        write ? node_->rule().WriteQuorum(node_->all_nodes(), selector)
+              : node_->rule().ReadQuorum(node_->all_nodes(), selector);
     if (!quorum.ok()) {
-      done_(quorum.status());
+      Done(quorum.status());
       return;
     }
-    auto req = std::make_shared<LockRequest>();
-    req->owner = owner_;
-    req->mode = LockMode::kExclusive;
-    auto self = shared_from_this();
-    net::MulticastGather(
-        &node_->rpc(), *quorum, protocol::msg::kLock, req,
-        [self](net::GatherResult g) {
-          bool conflict = false;
-          for (auto& [node, r] : g.replies) {
-            if (r.ok()) {
-              self->held_[node] = net::As<LockResponse>(r.response).state;
-            } else if (!r.call_failed()) {
-              conflict = true;
-            }
-          }
+    auto self = Self<StaticOp>();
+    protocol::LockRound(
+        node_, owner_, mode_, /*object=*/0, /*seniority=*/0, *quorum,
+        [self, write](net::GatherResult g) {
+          bool refused = protocol::FoldGrants(g, &self->held_);
           // Static protocol: the chosen quorum must answer in full.
           // (A different quorum choice could still succeed; the caller
           // may retry, which redraws via the operation id.)
           if (self->held_.size() != g.replies.size()) {
-            self->Fail(conflict
-                           ? Status::Conflict("lock conflict in write quorum")
-                           : Status::Unavailable(
-                                 "write quorum member unreachable"));
-            return;
+            std::string what = write ? "write quorum" : "read quorum";
+            self->Fail(refused ? Status::Conflict("lock conflict in " + what)
+                               : Status::Unavailable(what +
+                                                     " member unreachable"));
+          } else if (write) {
+            self->WriteTotal();
+          } else {
+            self->ReadNewest();
           }
-          self->Commit();
         });
   }
 
  private:
-  void Commit() {
+  void WriteTotal() {
     Version max_version = 0;
     for (const auto& [node, t] : held_) {
       max_version = std::max(max_version, t.version);
@@ -102,75 +74,10 @@ class StaticWriteOp : public std::enable_shared_from_this<StaticWriteOp> {
       act.objects.push_back(std::move(obj));
       actions[node] = std::move(act);
     }
-    auto self = shared_from_this();
-    TwoPhaseCommit::Run(node_, owner_, std::move(actions), nullptr,
-                        [self, new_version](Status s) {
-                          if (s.ok()) {
-                            self->done_(protocol::WriteOutcome{new_version});
-                          } else {
-                            self->done_(s);
-                          }
-                        });
+    Commit(std::move(actions), new_version);
   }
 
-  void Fail(Status status) {
-    NodeSet held;
-    for (const auto& [node, t] : held_) held.Insert(node);
-    auto self = shared_from_this();
-    ReleaseLocks(node_, owner_, held, [self, status] { self->done_(status); });
-  }
-
-  ReplicaNode* node_;
-  std::vector<uint8_t> value_;
-  protocol::WriteDone done_;
-  LockOwner owner_;
-  std::map<NodeId, ReplicaStateTuple> held_;
-};
-
-class StaticReadOp : public std::enable_shared_from_this<StaticReadOp> {
- public:
-  StaticReadOp(ReplicaNode* node, protocol::ReadDone done)
-      : node_(node), done_(std::move(done)) {
-    owner_.coordinator = node_->self();
-    owner_.operation_id = node_->NextOperationId();
-  }
-
-  void Start() {
-    uint64_t selector = SelectorFor(owner_.coordinator, owner_.operation_id);
-    Result<NodeSet> quorum =
-        node_->rule().ReadQuorum(node_->all_nodes(), selector);
-    if (!quorum.ok()) {
-      done_(quorum.status());
-      return;
-    }
-    auto req = std::make_shared<LockRequest>();
-    req->owner = owner_;
-    req->mode = LockMode::kShared;
-    auto self = shared_from_this();
-    net::MulticastGather(
-        &node_->rpc(), *quorum, protocol::msg::kLock, req,
-        [self](net::GatherResult g) {
-          bool conflict = false;
-          for (auto& [node, r] : g.replies) {
-            if (r.ok()) {
-              self->held_[node] = net::As<LockResponse>(r.response).state;
-            } else if (!r.call_failed()) {
-              conflict = true;
-            }
-          }
-          if (self->held_.size() != g.replies.size()) {
-            self->Fail(conflict
-                           ? Status::Conflict("lock conflict in read quorum")
-                           : Status::Unavailable(
-                                 "read quorum member unreachable"));
-            return;
-          }
-          self->Fetch();
-        });
-  }
-
- private:
-  void Fetch() {
+  void ReadNewest() {
     NodeId best = kInvalidNode;
     Version best_version = 0;
     for (const auto& [node, t] : held_) {
@@ -179,50 +86,26 @@ class StaticReadOp : public std::enable_shared_from_this<StaticReadOp> {
         best_version = t.version;
       }
     }
-    auto req = std::make_shared<protocol::FetchRequest>();
-    req->owner = owner_;
-    auto self = shared_from_this();
-    node_->rpc().Call(
-        best, protocol::msg::kFetch, req, [self](net::RpcResult r) {
-          if (!r.ok()) {
-            self->Fail(r.call_failed() ? r.transport : r.app);
-            return;
-          }
-          const auto& resp = net::As<protocol::FetchResponse>(r.response);
-          protocol::ReadOutcome out;
-          out.version = resp.version;
-          out.data = resp.data;
-          NodeSet held;
-          for (const auto& [node, t] : self->held_) held.Insert(node);
-          ReleaseLocks(self->node_, self->owner_, held,
-                       [self, out = std::move(out)] { self->done_(out); });
-        });
+    FetchAndRelease(best);
   }
 
-  void Fail(Status status) {
-    NodeSet held;
-    for (const auto& [node, t] : held_) held.Insert(node);
-    auto self = shared_from_this();
-    ReleaseLocks(node_, owner_, held, [self, status] { self->done_(status); });
-  }
-
-  ReplicaNode* node_;
-  protocol::ReadDone done_;
-  LockOwner owner_;
-  std::map<NodeId, ReplicaStateTuple> held_;
+  std::vector<uint8_t> value_;
 };
 
 }  // namespace
 
 void StartStaticWrite(protocol::ReplicaNode* node, std::vector<uint8_t> value,
                       protocol::WriteDone done) {
-  auto op = std::make_shared<StaticWriteOp>(node, std::move(value),
-                                            std::move(done));
+  auto op = std::make_shared<StaticOp>(node, LockMode::kExclusive,
+                                       std::move(value), std::move(done),
+                                       protocol::ReadDone{});
   op->Start();
 }
 
 void StartStaticRead(protocol::ReplicaNode* node, protocol::ReadDone done) {
-  auto op = std::make_shared<StaticReadOp>(node, std::move(done));
+  auto op = std::make_shared<StaticOp>(node, LockMode::kShared,
+                                       std::vector<uint8_t>{},
+                                       protocol::WriteDone{}, std::move(done));
   op->Start();
 }
 

@@ -19,14 +19,6 @@ namespace {
 
 using net::GatherResult;
 
-using TupleMap = std::map<NodeId, ReplicaStateTuple>;
-
-NodeSet KeysOf(const TupleMap& tuples) {
-  NodeSet s;
-  for (const auto& [node, tuple] : tuples) s.Insert(node);
-  return s;
-}
-
 /// The response analysis every operation performs (Appendix): the epoch
 /// list of the maximum-epoch response, the maximum version among
 /// non-stale responses, and the maximum desired version among stale ones.
@@ -76,23 +68,6 @@ NodeSet GoodSet(const TupleMap& tuples, Version max_version) {
 uint64_t OpSpanId(const LockOwner& owner) {
   return (static_cast<uint64_t>(owner.coordinator) << 40) |
          owner.operation_id;
-}
-
-/// A selector mixing the coordinator id and operation id, so consecutive
-/// operations (and different coordinators) rotate across quorums.
-uint64_t SelectorFor(NodeId self, uint64_t op_id) {
-  uint64_t x = (static_cast<uint64_t>(self) << 32) ^ op_id;
-  x *= 0x9E3779B97F4A7C15ULL;
-  return x ^ (x >> 29);
-}
-
-/// Multicasts unlock for `owner` to `targets`, then runs `after`.
-void ReleaseLocks(ReplicaNode* node, const LockOwner& owner,
-                  const NodeSet& targets, std::function<void()> after) {
-  auto unlock = std::make_shared<UnlockRequest>();
-  unlock->owner = owner;
-  net::MulticastGather(&node->rpc(), targets, msg::kUnlock, unlock,
-                       [after = std::move(after)](GatherResult) { after(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -174,7 +149,7 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp> {
     }
     const coterie::CoterieRule& rule = node_->rule();
     const NodeSet& list = node_->epoch(acqs_[idx].object).list;
-    uint64_t selector = SelectorFor(owner_.coordinator, owner_.operation_id);
+    uint64_t selector = QuorumSelector(owner_);
     Result<NodeSet> quorum = mode_ == LockMode::kExclusive
                                  ? rule.WriteQuorum(list, selector)
                                  : rule.ReadQuorum(list, selector);
@@ -202,7 +177,7 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp> {
       after();
       return;
     }
-    ReleaseLocks(node_, owner_, Locked(), std::move(after));
+    UnlockRound(node_, owner_, Locked(), std::move(after));
   }
 
   /// Settles the operation's metrics and trace span.
@@ -236,26 +211,16 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp> {
   /// held set, then evaluates the acquisition.
   void LockNodes(size_t idx, const NodeSet& targets,
                  std::function<void(Status)> next) {
-    auto req = std::make_shared<LockRequest>();
-    req->owner = owner_;
-    req->mode = mode_;
-    req->object = acqs_[idx].object;
-    req->op_started = started_at_;  // Wound-wait seniority.
     sent_locks_ = true;
     auto self = shared_from_this();
-    net::MulticastGather(
-        &node_->rpc(), targets, msg::kLock, req,
-        [self, idx, next = std::move(next)](GatherResult g) mutable {
-          Acquisition& acq = self->acqs_[idx];
-          for (auto& [node, r] : g.replies) {
-            if (r.ok()) {
-              acq.held[node] = net::As<LockResponse>(r.response).state;
-            } else if (!r.call_failed()) {
-              acq.saw_conflict = true;
-            }
-          }
-          self->Evaluate(idx, std::move(next));
-        });
+    LockRound(node_, owner_, mode_, acqs_[idx].object,
+              started_at_,  // Wound-wait seniority.
+              targets,
+              [self, idx, next = std::move(next)](GatherResult g) mutable {
+                Acquisition& acq = self->acqs_[idx];
+                if (FoldGrants(g, &acq.held)) acq.saw_conflict = true;
+                self->Evaluate(idx, std::move(next));
+              });
   }
 
   /// Done if the held tuples include a quorum of the maximum-epoch
@@ -379,19 +344,13 @@ class WriteOp : public QuorumOp {
         base_values_[idx] = node_->store(acq.object).object().data();
         continue;
       }
-      auto req = std::make_shared<FetchRequest>();
-      req->owner = owner_;
-      req->object = acq.object;
       auto self = Self<WriteOp>();
-      node_->rpc().Call(good.NthMember(0), msg::kFetch, req,
-                        [self, idx](net::RpcResult r) {
-                          // Promotion is best-effort; commit without it.
-                          if (r.ok()) {
-                            self->base_values_[idx] =
-                                net::As<FetchResponse>(r.response).data;
-                          }
-                          self->FetchBaseValues(idx + 1);
-                        });
+      FetchRound(node_, owner_, acq.object, good.NthMember(0),
+                 [self, idx](Result<ReadOutcome> r) {
+                   // Promotion is best-effort; commit without it.
+                   if (r.ok()) self->base_values_[idx] = std::move(r->data);
+                   self->FetchBaseValues(idx + 1);
+                 });
       return;
     }
     Commit();
@@ -550,27 +509,19 @@ class ReadOp : public QuorumOp {
     NodeSet good = GoodSet(acq.held, version);
     assert(!good.Empty());
     // Load sharing: rotate the fetch target across good replicas.
-    uint64_t selector = SelectorFor(owner_.coordinator, owner_.operation_id);
     NodeId target = good.NthMember(
-        static_cast<uint32_t>(selector % good.Size()));
-    auto req = std::make_shared<FetchRequest>();
-    req->owner = owner_;
-    req->object = acq.object;
+        static_cast<uint32_t>(QuorumSelector(owner_) % good.Size()));
     auto self = Self<ReadOp>();
-    node_->rpc().Call(target, msg::kFetch, req,
-                      [self, version](net::RpcResult r) {
-                        if (!r.ok()) {
-                          self->Fail(r.call_failed() ? r.transport : r.app);
-                          return;
-                        }
-                        const auto& resp = net::As<FetchResponse>(r.response);
-                        assert(resp.version == version &&
-                               "locked replica changed under a read");
-                        ReadOutcome out;
-                        out.version = resp.version;
-                        out.data = resp.data;
-                        self->Finish(std::move(out));
-                      });
+    FetchRound(node_, owner_, acq.object, target,
+               [self, version](Result<ReadOutcome> r) {
+                 if (!r.ok()) {
+                   self->Fail(r.status());
+                   return;
+                 }
+                 assert(r->version == version &&
+                        "locked replica changed under a read");
+                 self->Finish(std::move(r).value());
+               });
   }
 
   void Finish(ReadOutcome out) {
@@ -623,20 +574,11 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
     if (home_.scope) tags.push_back({"object", std::to_string(*home_.scope)});
     sim->tracer().BeginSpan("epoch", "epoch.check", node_->self(), span_id_,
                             tags);
-    auto poll = std::make_shared<EpochPollRequest>();
-    poll->scope = home_.scope;
     auto self = shared_from_this();
-    net::MulticastGather(
-        &node_->rpc(), home_.members, msg::kEpochPoll, poll,
-        [self](GatherResult g) {
-          std::map<NodeId, EpochPollResponse> responded;
-          for (auto& [node, r] : g.replies) {
-            if (r.ok()) {
-              responded[node] = net::As<EpochPollResponse>(r.response);
-            }
-          }
-          self->Evaluate(std::move(responded));
-        });
+    PollEpochs(node_, home_.members, home_.scope,
+               [self](std::map<NodeId, EpochPollResponse> responded) {
+                 self->Evaluate(std::move(responded));
+               });
   }
 
  private:
@@ -786,6 +728,86 @@ void StartTxnWrite(ReplicaNode* node, std::vector<TxnWriteSpec> specs,
                                       WriteOptions{}, std::move(histories),
                                       std::move(done));
   op->Start({"objects", std::move(count)});
+}
+
+// ---------------------------------------------------------------------------
+// Coordinator rounds.
+// ---------------------------------------------------------------------------
+
+NodeSet KeysOf(const TupleMap& tuples) {
+  NodeSet s;
+  for (const auto& [node, tuple] : tuples) s.Insert(node);
+  return s;
+}
+
+uint64_t QuorumSelector(const LockOwner& owner) {
+  uint64_t x = (static_cast<uint64_t>(owner.coordinator) << 32) ^
+               owner.operation_id;
+  x *= 0x9E3779B97F4A7C15ULL;
+  return x ^ (x >> 29);
+}
+
+void LockRound(ReplicaNode* node, const LockOwner& owner, LockMode mode,
+               ObjectId object, rt::Time seniority, const NodeSet& targets,
+               std::function<void(GatherResult)> done) {
+  auto req = std::make_shared<LockRequest>();
+  req->owner = owner;
+  req->mode = mode;
+  req->object = object;
+  req->op_started = seniority;
+  net::MulticastGather(&node->rpc(), targets, msg::kLock, std::move(req),
+                       std::move(done));
+}
+
+bool FoldGrants(const GatherResult& g, TupleMap* held) {
+  bool refused = false;
+  for (const auto& [node, r] : g.replies) {
+    if (r.ok()) {
+      (*held)[node] = net::As<LockResponse>(r.response).state;
+    } else if (!r.call_failed()) {
+      refused = true;
+    }
+  }
+  return refused;
+}
+
+void UnlockRound(ReplicaNode* node, const LockOwner& owner,
+                 const NodeSet& targets, std::function<void()> after) {
+  auto unlock = std::make_shared<UnlockRequest>();
+  unlock->owner = owner;
+  net::MulticastGather(&node->rpc(), targets, msg::kUnlock, std::move(unlock),
+                       [after = std::move(after)](GatherResult) { after(); });
+}
+
+void FetchRound(ReplicaNode* node, const LockOwner& owner, ObjectId object,
+                NodeId target, ReadDone done) {
+  auto req = std::make_shared<FetchRequest>();
+  req->owner = owner;
+  req->object = object;
+  node->rpc().Call(target, msg::kFetch, std::move(req),
+                   [done = std::move(done)](net::RpcResult r) {
+                     if (!r.ok()) {
+                       done(r.call_failed() ? r.transport : r.app);
+                       return;
+                     }
+                     const auto& resp = net::As<FetchResponse>(r.response);
+                     done(ReadOutcome{resp.version, resp.data});
+                   });
+}
+
+void PollEpochs(ReplicaNode* node, const NodeSet& targets, LineageScope scope,
+                EpochPollDone done) {
+  auto poll = std::make_shared<EpochPollRequest>();
+  poll->scope = scope;
+  net::MulticastGather(
+      &node->rpc(), targets, msg::kEpochPoll, std::move(poll),
+      [done = std::move(done)](GatherResult g) {
+        std::map<NodeId, EpochPollResponse> responded;
+        for (const auto& [n, r] : g.replies) {
+          if (r.ok()) responded[n] = net::As<EpochPollResponse>(r.response);
+        }
+        done(std::move(responded));
+      });
 }
 
 }  // namespace dcp::protocol

@@ -120,6 +120,50 @@ using HistoryLookup =
 void StartTxnWrite(ReplicaNode* node, std::vector<TxnWriteSpec> specs,
                    HistoryLookup histories, TxnWriteDone done);
 
+// ---------------------------------------------------------------------------
+// Coordinator rounds: the message exchanges every coordinator is built
+// from, the operations above and the baselines in src/baseline alike.
+// ---------------------------------------------------------------------------
+
+/// Lock-granted replica states by node.
+using TupleMap = std::map<NodeId, ReplicaStateTuple>;
+
+/// The nodes `tuples` holds a state for.
+NodeSet KeysOf(const TupleMap& tuples);
+
+/// A quorum selector mixing the coordinator id and operation id, so
+/// consecutive operations (and different coordinators) rotate across
+/// quorums.
+uint64_t QuorumSelector(const LockOwner& owner);
+
+/// Multicasts `owner`'s request for a `mode` lock on `object` to
+/// `targets`. `seniority` is the operation's start time, which wound-wait
+/// arbitration compares. `done` gets every target's reply.
+void LockRound(ReplicaNode* node, const LockOwner& owner, LockMode mode,
+               ObjectId object, rt::Time seniority, const NodeSet& targets,
+               std::function<void(net::GatherResult)> done);
+
+/// Folds a lock round's grants into `held`. Returns true if some target
+/// refused the lock (answered, but not with a grant).
+bool FoldGrants(const net::GatherResult& g, TupleMap* held);
+
+/// Multicasts the release of `owner`'s locks to `targets`, then runs
+/// `after`.
+void UnlockRound(ReplicaNode* node, const LockOwner& owner,
+                 const NodeSet& targets, std::function<void()> after);
+
+/// Fetches `object`'s version and data from `target`, on which `owner`
+/// holds a lock. On failure `done` gets the call's status.
+void FetchRound(ReplicaNode* node, const LockOwner& owner, ObjectId object,
+                NodeId target, ReadDone done);
+
+using EpochPollDone = std::function<void(std::map<NodeId, EpochPollResponse>)>;
+
+/// Polls the epoch state of `targets` for the lineage `scope`, without
+/// locks. `done` gets the replies of the nodes that answered.
+void PollEpochs(ReplicaNode* node, const NodeSet& targets, LineageScope scope,
+                EpochPollDone done);
+
 }  // namespace dcp::protocol
 
 #endif  // DCP_PROTOCOL_OPERATIONS_H_
