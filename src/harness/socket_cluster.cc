@@ -25,14 +25,26 @@ rt::SocketTransportOptions TransportOptions(const SocketClusterOptions& o) {
   return t;
 }
 
-/// Blocks on `future` for the harness's per-op budget. The promise side
-/// lives in the posted closure (shared_ptr), so a timed-out operation
-/// completing late writes into an orphaned promise, not a dead frame.
-template <typename T>
-T AwaitOr(std::future<T> future, rt::Time timeout_ms, T on_timeout) {
-  const auto budget = std::chrono::duration<double, std::milli>(timeout_ms);
+/// Real-time budget for one synchronous client operation, in ms. Far above
+/// any loopback round trip; hitting it means the protocol wedged, and the
+/// caller gets kTimedOut instead of a hung test.
+constexpr double kOpTimeoutMs = 20000.0;
+
+/// Posts `start(done)` onto `runtime` (protocol code must run on its node's
+/// execution context) and blocks until `done` fires or kOpTimeoutMs
+/// passes; then it returns TimedOut(`timeout`). The promise lives in the
+/// posted closure (shared_ptr), so an operation completing late writes
+/// into an orphaned promise, not a dead frame.
+template <typename T, typename Start>
+T PostAndWait(rt::Runtime* runtime, Start start, const char* timeout) {
+  auto promise = std::make_shared<std::promise<T>>();
+  std::future<T> future = promise->get_future();
+  runtime->Schedule(0, [start = std::move(start), promise]() mutable {
+    start([promise](T r) { promise->set_value(std::move(r)); });
+  });
+  const auto budget = std::chrono::duration<double, std::milli>(kOpTimeoutMs);
   if (future.wait_for(budget) != std::future_status::ready) {
-    return on_timeout;
+    return Status::TimedOut(timeout);
   }
   return future.get();
 }
@@ -92,53 +104,39 @@ void SocketCluster::SetNodeUp(NodeId id, bool up) {
 Result<WriteOutcome> SocketCluster::WriteSync(NodeId coordinator,
                                               storage::ObjectId object,
                                               storage::Update update) {
-  auto promise = std::make_shared<std::promise<Result<WriteOutcome>>>();
-  auto future = promise->get_future();
   protocol::ReplicaNode* node = nodes_[coordinator].get();
   protocol::WriteOptions write_options = options_.write_options;
-  transport_.runtime(coordinator)
-      ->Schedule(0, [node, object, update = std::move(update), write_options,
-                     promise]() mutable {
+  return PostAndWait<Result<WriteOutcome>>(
+      transport_.runtime(coordinator),
+      [node, object, update = std::move(update),
+       write_options](protocol::WriteDone done) mutable {
         protocol::StartWrite(node, object, std::move(update), write_options,
-                             /*history=*/nullptr,
-                             [promise](Result<WriteOutcome> r) {
-                               promise->set_value(std::move(r));
-                             });
-      });
-  return AwaitOr<Result<WriteOutcome>>(
-      std::move(future), options_.op_timeout_ms,
-      Status::TimedOut("socket write exceeded the harness budget"));
+                             /*history=*/nullptr, std::move(done));
+      },
+      "socket write exceeded the harness budget");
 }
 
 Result<ReadOutcome> SocketCluster::ReadSync(NodeId coordinator,
                                             storage::ObjectId object) {
-  auto promise = std::make_shared<std::promise<Result<ReadOutcome>>>();
-  auto future = promise->get_future();
   protocol::ReplicaNode* node = nodes_[coordinator].get();
-  transport_.runtime(coordinator)->Schedule(0, [node, object, promise] {
-    protocol::StartRead(node, object, /*history=*/nullptr,
-                        [promise](Result<ReadOutcome> r) {
-                          promise->set_value(std::move(r));
-                        });
-  });
-  return AwaitOr<Result<ReadOutcome>>(
-      std::move(future), options_.op_timeout_ms,
-      Status::TimedOut("socket read exceeded the harness budget"));
+  return PostAndWait<Result<ReadOutcome>>(
+      transport_.runtime(coordinator),
+      [node, object](protocol::ReadDone done) {
+        protocol::StartRead(node, object, /*history=*/nullptr,
+                            std::move(done));
+      },
+      "socket read exceeded the harness budget");
 }
 
 Status SocketCluster::CheckEpochSync(NodeId initiator,
                                      storage::ObjectId object) {
-  auto promise = std::make_shared<std::promise<Status>>();
-  auto future = promise->get_future();
   protocol::ReplicaNode* node = nodes_[initiator].get();
-  transport_.runtime(initiator)->Schedule(0, [node, object, promise] {
-    protocol::StartEpochCheck(
-        node, object,
-        [promise](Status s) { promise->set_value(std::move(s)); });
-  });
-  return AwaitOr<Status>(
-      std::move(future), options_.op_timeout_ms,
-      Status::TimedOut("socket epoch check exceeded the harness budget"));
+  return PostAndWait<Status>(
+      transport_.runtime(initiator),
+      [node, object](protocol::EpochCheckDone done) {
+        protocol::StartEpochCheck(node, object, std::move(done));
+      },
+      "socket epoch check exceeded the harness budget");
 }
 
 Result<WriteOutcome> SocketCluster::WriteSyncRetry(NodeId coordinator,

@@ -36,10 +36,6 @@ struct SocketClusterOptions {
   /// batched/pooled sends against the one-frame-per-syscall baseline.
   uint32_t max_batch_frames = 64;
   bool pool_buffers = true;
-  /// Real-time budget for one synchronous client operation, in ms. Far
-  /// above any loopback round trip; hitting it means the protocol
-  /// wedged, and the caller gets kTimedOut instead of a hung test.
-  rt::Time op_timeout_ms = 20000.0;
 };
 
 /// The Cluster analogue for the socket backend: N replica nodes wired

@@ -6,9 +6,8 @@
 
 namespace dcp::net {
 
-RpcRuntime::RpcRuntime(rt::Transport* transport, NodeId self, rt::Time timeout)
-    : transport_(transport), rt_(transport->runtime(self)), self_(self),
-      timeout_(timeout) {
+RpcRuntime::RpcRuntime(rt::Transport* transport, NodeId self)
+    : transport_(transport), rt_(transport->runtime(self)), self_(self) {
   transport_->Register(self_, this);
   obs::MetricsRegistry& m = rt_->metrics();
   calls_ = m.counter("rpc.calls");
@@ -38,7 +37,7 @@ void RpcRuntime::Call(NodeId dst, TypeName type, PayloadPtr request,
   sim->tracer().BeginSpan("rpc", type.str(), self_, SpanId(id),
                           {{"dst", std::to_string(dst)}});
 
-  rt::TimerId timer = sim->Schedule(timeout_, [this, id] {
+  rt::TimerId timer = sim->Schedule(kRpcTimeout, [this, id] {
     timeouts_->Increment();
     Complete(id, RpcResult::CallFailed(
                      Status::TimedOut("rpc timeout; treating as CallFailed")));

@@ -81,15 +81,17 @@ class RpcService {
   }
 };
 
+/// How long a caller waits for a response before synthesizing
+/// RPC.CallFailed.
+inline constexpr rt::Time kRpcTimeout = 100.0;
+
 /// Per-node RPC endpoint: issues calls with timeout + CallFailed semantics
 /// and dispatches incoming requests to the node's RpcService.
 class RpcRuntime : public MessageSink {
  public:
-  /// `timeout` bounds how long a caller waits for a response before
-  /// synthesizing RPC.CallFailed. The runtime registers itself as
-  /// `self`'s sink on `transport` and caches `transport->runtime(self)`
-  /// as its execution context.
-  RpcRuntime(rt::Transport* transport, NodeId self, rt::Time timeout = 100.0);
+  /// Registers the runtime as `self`'s sink on `transport` and caches
+  /// `transport->runtime(self)` as its execution context.
+  RpcRuntime(rt::Transport* transport, NodeId self);
 
   NodeId self() const { return self_; }
   rt::Transport* transport() { return transport_; }
@@ -142,7 +144,6 @@ class RpcRuntime : public MessageSink {
   rt::Transport* transport_;
   rt::Runtime* rt_;  ///< Cached transport_->runtime(self_).
   NodeId self_;
-  rt::Time timeout_;
   RpcService* service_ = nullptr;
   uint64_t next_rpc_id_ = 1;
   /// Bumped by AbortAll. A deferred Responder captured before a crash

@@ -151,7 +151,7 @@ T Cluster::Retry(int max_attempts, Attempt attempt) {
     if (last.ok() || !policy.ShouldRetry(last.status())) return last;
     // Randomized backoff breaks symmetric lock contention and rides out
     // transient unavailability (when the policy opts in).
-    RunFor(policy.backoff_base + rng_.NextDouble() * policy.backoff_jitter);
+    RunFor(kRetryBackoffBase + rng_.NextDouble() * kRetryBackoffJitter);
   }
   return last;
 }

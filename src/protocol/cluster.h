@@ -34,6 +34,11 @@ enum class CoterieKind {
 /// Constructs a coterie rule instance by kind (caller owns it).
 std::unique_ptr<coterie::CoterieRule> MakeCoterieRule(CoterieKind kind);
 
+/// The *SyncRetry wrappers' pause between attempts: the base plus a
+/// uniform extra in [0, jitter).
+inline constexpr sim::Time kRetryBackoffBase = 5.0;
+inline constexpr sim::Time kRetryBackoffJitter = 20.0;
+
 /// Client-side retry behavior for the *SyncRetry wrappers. The defaults
 /// reproduce the historical behavior exactly (identical RNG draws, so
 /// same-seed runs are unchanged): lock conflicts retry with randomized
@@ -44,8 +49,6 @@ std::unique_ptr<coterie::CoterieRule> MakeCoterieRule(CoterieKind kind);
 struct RetryPolicy {
   bool retry_conflict = true;      ///< Retry StatusCode::kConflict.
   bool retry_unavailable = false;  ///< Retry StatusCode::kUnavailable.
-  sim::Time backoff_base = 5.0;
-  sim::Time backoff_jitter = 20.0;  ///< Uniform extra backoff in [0, jitter).
 
   bool ShouldRetry(const Status& s) const {
     return (s.IsConflict() && retry_conflict) ||

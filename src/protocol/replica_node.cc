@@ -15,7 +15,7 @@ ReplicaNode::ReplicaNode(rt::Transport* transport, NodeId self, NodeSet pool,
                          const coterie::CoterieRule* rule, Catalog catalog,
                          std::vector<uint8_t> initial_value,
                          ReplicaNodeOptions options)
-    : rpc_(transport, self, options.rpc_timeout),
+    : rpc_(transport, self),
       self_(self),
       catalog_(std::move(catalog)),
       all_nodes_(std::move(pool)),
@@ -254,8 +254,7 @@ void ReplicaNode::RestoreFromDisk() {
   // Skip a full stride past the recovered watermark: ids minted between
   // the last durable watermark record and the crash stay retired even
   // though the record advancing past them may have been torn.
-  next_operation_id_ =
-      state.next_operation_id + options_.durability.opid_stride;
+  next_operation_id_ = state.next_operation_id + store::kOpIdStride;
   durable_->ReserveOperationIds(next_operation_id_);
 }
 

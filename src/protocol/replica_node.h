@@ -54,9 +54,6 @@ struct ReplicaNodeOptions {
   /// the triggering operation's messages drain first).
   rt::Time propagation_start_delay = 5.0;
 
-  /// RPC timeout for this node's outgoing calls.
-  rt::Time rpc_timeout = 100.0;
-
   /// Durable storage engine (simulated disk + WAL). Disabled by default:
   /// the node then models the paper's ideal persistent store (RAM state
   /// survives Crash()/Recover() untouched) and constructs no engine at

@@ -227,8 +227,8 @@ void DurableStore::ReserveOperationIds(uint64_t next_id) {
   // the lazy flush (no barrier of its own); with a stride generously
   // above the ids mintable within one flush interval, a recovered node
   // never reuses a LockOwner identity.
-  if (next_id + opt_.opid_stride / 2 <= opid_watermark_) return;
-  opid_watermark_ = next_id + opt_.opid_stride;
+  if (next_id + kOpIdStride / 2 <= opid_watermark_) return;
+  opid_watermark_ = next_id + kOpIdStride;
   ByteWriter w;
   w.U64(opid_watermark_);
   AppendRecord(RecordType::kOpWatermark, w);

@@ -16,6 +16,11 @@
 
 namespace dcp::store {
 
+/// Operation-id watermark stride: recovery skips the id space forward to
+/// the last durable watermark, so ids are never reused as long as fewer
+/// than this many ids are minted between watermark flushes.
+inline constexpr uint64_t kOpIdStride = 256;
+
 /// The durability knob threaded through ClusterOptions. `enabled = false`
 /// (the default) constructs nothing, schedules nothing and draws no
 /// randomness — durability-off runs are byte-identical to a build without
@@ -28,10 +33,6 @@ struct DurabilityOptions {
   rt::Time flush_interval = 10.0;
   /// Checkpoint once the durable log exceeds this many bytes.
   uint64_t checkpoint_threshold_bytes = 16 * 1024;
-  /// Operation-id watermark stride: recovery skips the id space forward
-  /// to the last durable watermark, so ids are never reused as long as
-  /// fewer than `opid_stride` ids are minted between watermark flushes.
-  uint64_t opid_stride = 256;
 };
 
 /// Everything a replica node must reconstruct after a crash — and,

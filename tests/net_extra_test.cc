@@ -143,9 +143,10 @@ TEST(NetworkExtra, CrashedNodeCannotSend) {
 
 TEST(NetworkExtra, ShortRpcTimeoutFiresBeforeSlowReply) {
   sim::Simulator sim;
-  Network network(&sim, Rng(1), LatencyModel{10.0, 0.0});  // Slow net.
+  // Slow net: one hop takes longer than the RPC timeout.
+  Network network(&sim, Rng(1), LatencyModel{2 * kRpcTimeout, 0.0});
   EchoService svc;
-  RpcRuntime fast(&network, 0, /*timeout=*/5.0);  // Shorter than one hop.
+  RpcRuntime fast(&network, 0);
   RpcRuntime peer(&network, 1);
   fast.set_service(&svc);
   peer.set_service(&svc);

@@ -146,8 +146,8 @@ TEST(NetworkFault, OnFailedFiresForDroppedRequests) {
 TEST(NetworkFault, DroppedRequestSurfacesAsCallFailedNotTimeout) {
   sim::Simulator sim;
   Network network(&sim, Rng(3), LatencyModel{1.0, 0.0});
-  RpcRuntime rpc0(&network, 0, /*timeout=*/1000);
-  RpcRuntime rpc1(&network, 1, /*timeout=*/1000);
+  RpcRuntime rpc0(&network, 0);
+  RpcRuntime rpc1(&network, 1);
   struct NullService : RpcService {
     Result<PayloadPtr> HandleRequest(NodeId, const std::string&,
                                      const PayloadPtr& req) override {
@@ -170,15 +170,15 @@ TEST(NetworkFault, DroppedRequestSurfacesAsCallFailedNotTimeout) {
   sim.Run();
   EXPECT_TRUE(got);
   // The caller learned at would-be delivery time (t=1), not at the
-  // timeout (t=1000).
+  // timeout (t=kRpcTimeout=100).
   EXPECT_LT(sim.Now(), 10.0);
 }
 
 TEST(NetworkFault, DroppedResponseSurfacesAsTimeout) {
   sim::Simulator sim;
   Network network(&sim, Rng(3), LatencyModel{1.0, 0.0});
-  RpcRuntime rpc0(&network, 0, /*timeout=*/50);
-  RpcRuntime rpc1(&network, 1, /*timeout=*/50);
+  RpcRuntime rpc0(&network, 0);
+  RpcRuntime rpc1(&network, 1);
   struct NullService : RpcService {
     Result<PayloadPtr> HandleRequest(NodeId, const std::string&,
                                      const PayloadPtr& req) override {

@@ -32,9 +32,9 @@ class EchoService : public RpcService {
 struct Harness {
   sim::Simulator sim;
   Network network{&sim, Rng(1), LatencyModel{1.0, 0.0}};
-  RpcRuntime rpc0{&network, 0, /*timeout=*/50};
-  RpcRuntime rpc1{&network, 1, /*timeout=*/50};
-  RpcRuntime rpc2{&network, 2, /*timeout=*/50};
+  RpcRuntime rpc0{&network, 0};
+  RpcRuntime rpc1{&network, 1};
+  RpcRuntime rpc2{&network, 2};
   EchoService svc0, svc1, svc2;
 
   Harness() {

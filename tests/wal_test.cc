@@ -568,7 +568,7 @@ TEST(DurableStoreTest, CheckpointTriggersTruncationAndRecovery) {
 TEST(DurableStoreTest, OperationIdWatermarkPreventsReuse) {
   sim::Simulator sim;
   DurableStore store(&sim, StoreOptions());
-  const uint64_t stride = DurabilityOptions{}.opid_stride;
+  const uint64_t stride = kOpIdStride;
 
   // Mint a few ids; the watermark record rides a commit.
   store.ReserveOperationIds(2);
@@ -593,7 +593,7 @@ TEST(DurableStoreTest, WatermarkLostWithTailStillCoveredByStride) {
   store.ReserveOperationIds(2);
   store.Commit([] {});
   sim.Run();
-  uint64_t durable_watermark = 2 + DurabilityOptions{}.opid_stride;
+  uint64_t durable_watermark = 2 + kOpIdStride;
 
   // These reservations' watermark records never sync.
   for (uint64_t id = 3; id < 3 + 100; ++id) store.ReserveOperationIds(id);
@@ -603,7 +603,7 @@ TEST(DurableStoreTest, WatermarkLostWithTailStillCoveredByStride) {
   EXPECT_EQ(state.next_operation_id, durable_watermark);
   // All ids handed out (< 103) stay below watermark + 0: a recovering
   // node that skips a further stride past this can never collide.
-  EXPECT_LT(103u, durable_watermark + DurabilityOptions{}.opid_stride);
+  EXPECT_LT(103u, durable_watermark + kOpIdStride);
 }
 
 TEST(DurableStoreTest, CrashDuringRecoveryWindowIsRepeatable) {
