@@ -29,33 +29,4 @@ uint32_t Crc32(const uint8_t* data, size_t len, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void PutNodeSet(ByteWriter& w, const NodeSet& s) {
-  std::vector<NodeId> ids = s.ToVector();
-  w.U32(static_cast<uint32_t>(ids.size()));
-  for (NodeId id : ids) w.U32(id);
-}
-
-NodeSet GetNodeSet(ByteReader& r) {
-  NodeSet s;
-  uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    s.Insert(static_cast<NodeId>(r.U32()));
-  }
-  return s;
-}
-
-void PutUpdate(ByteWriter& w, const storage::Update& u) {
-  w.Bool(u.total);
-  w.U64(u.offset);
-  w.Bytes(u.bytes);
-}
-
-storage::Update GetUpdate(ByteReader& r) {
-  storage::Update u;
-  u.total = r.Bool();
-  u.offset = r.U64();
-  u.bytes = r.Bytes();
-  return u;
-}
-
 }  // namespace dcp::store

@@ -101,26 +101,50 @@ class DurableStore {
 
   // --- typed redo records (append-only; durable at the next barrier) ---
   void LogUpdate(storage::ObjectId object, storage::Version produced,
-                 const storage::Update& update);
+                 const storage::Update& update) {
+    Log(RecordType::kUpdate, object, produced, update);
+  }
   void LogSnapshot(storage::ObjectId object, storage::Version version,
-                   const std::vector<uint8_t>& data);
-  void LogMarkStale(storage::ObjectId object, storage::Version desired);
-  void LogClearStale(storage::ObjectId object);
+                   const std::vector<uint8_t>& data) {
+    Log(RecordType::kSnapshot, object, version, data);
+  }
+  void LogMarkStale(storage::ObjectId object, storage::Version desired) {
+    Log(RecordType::kMarkStale, object, desired);
+  }
+  void LogClearStale(storage::ObjectId object) {
+    Log(RecordType::kClearStale, object);
+  }
   /// An epoch install on the group-wide lineage (`scope` empty: a
   /// kEpochInstall record) or on one object's lineage.
   void LogEpochInstall(storage::EpochNumber number, const NodeSet& list,
-                       std::optional<storage::ObjectId> scope = std::nullopt);
+                       std::optional<storage::ObjectId> scope = std::nullopt) {
+    if (scope) {
+      Log(RecordType::kObjectEpochInstall, *scope, number, list);
+    } else {
+      Log(RecordType::kEpochInstall, number, list);
+    }
+  }
   void LogStage(const storage::LockOwner& owner, const NodeSet& participants,
-                const std::vector<uint8_t>& action);
-  void LogResolve(const storage::LockOwner& owner, uint8_t outcome);
+                const std::vector<uint8_t>& action) {
+    Log(RecordType::kStage, owner, participants, action);
+  }
+  void LogResolve(const storage::LockOwner& owner, uint8_t outcome) {
+    Log(RecordType::kResolve, owner, outcome);
+  }
   /// Coordinator decision (or outcome learned without a staged entry).
   /// Unlike kResolve, replay records the outcome WITHOUT erasing a staged
   /// entry: a coordinator that decided but crashed before its own
   /// participant commit must keep its staged action so termination can
   /// still apply the effects.
-  void LogDecide(const storage::LockOwner& owner, uint8_t outcome);
-  void LogPropAdd(storage::ObjectId object, const NodeSet& targets);
-  void LogPropDone(storage::ObjectId object, NodeId target);
+  void LogDecide(const storage::LockOwner& owner, uint8_t outcome) {
+    Log(RecordType::kDecide, owner, outcome);
+  }
+  void LogPropAdd(storage::ObjectId object, const NodeSet& targets) {
+    Log(RecordType::kPropAdd, object, targets);
+  }
+  void LogPropDone(storage::ObjectId object, NodeId target) {
+    Log(RecordType::kPropDone, object, target);
+  }
 
   /// Extends the durable operation-id watermark when `next_id` nears it.
   void ReserveOperationIds(uint64_t next_id);
@@ -176,7 +200,13 @@ class DurableStore {
     kObjectEpochInstall = 12,
   };
 
-  void AppendRecord(RecordType type, ByteWriter& payload);
+  /// Appends one redo record: `type`, then the fields' encoding.
+  template <typename... Fs>
+  void Log(RecordType type, const Fs&... fields) {
+    ByteWriter w;
+    Put{w}(fields...);
+    wal_.Append(static_cast<uint8_t>(type), w.buffer());
+  }
   void MaybeCheckpoint();
   static void ApplyRecord(RecoveredState& state, uint8_t type,
                           ByteReader& r);
