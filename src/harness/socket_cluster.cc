@@ -20,8 +20,6 @@ rt::SocketTransportOptions TransportOptions(const SocketClusterOptions& o) {
   t.num_nodes = o.num_nodes;
   t.num_workers = o.num_workers;
   t.codec = protocol::MakeWireCodec();
-  t.max_batch_frames = o.max_batch_frames;
-  t.pool_buffers = o.pool_buffers;
   return t;
 }
 

@@ -32,10 +32,6 @@ struct SocketClusterOptions {
   protocol::WriteOptions write_options;
   /// Forwarded to SocketTransportOptions (0 = auto).
   uint32_t num_workers = 0;
-  /// Forwarded to SocketTransportOptions — the bench harness compares
-  /// batched/pooled sends against the one-frame-per-syscall baseline.
-  uint32_t max_batch_frames = 64;
-  bool pool_buffers = true;
 };
 
 /// The Cluster analogue for the socket backend: N replica nodes wired
