@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "protocol/cluster.h"
@@ -204,6 +206,54 @@ TEST(GroupEpoch, ChurnWithManyObjects) {
           << "node " << i << " object " << obj;
     }
   }
+}
+
+// The epoch poll takes no locks, so a write can commit between the poll
+// and the epoch install's prepare. The install's stale marking was
+// computed from the polled state, so a participant whose object moved
+// since must refuse the prepare; the check then polls again and installs
+// the epoch on the write's state.
+TEST(GroupEpoch, PrepareRefusedWhenAWriteCommitsAfterThePoll) {
+  ClusterOptions opts;
+  opts.num_nodes = 5;
+  opts.num_objects = 1;
+  opts.coterie = CoterieKind::kMajority;
+  opts.seed = 77;
+  opts.initial_value = {0};
+  Cluster cluster(opts);
+  cluster.Crash(4);  // The check will re-form the epoch as {0, 1, 2, 3}.
+  // Delay the poll replies of nodes 1 and 2, so node 0's check evaluates
+  // (and prepares) only after node 3's write has committed and unlocked.
+  net::LinkFaults slow;
+  slow.latency = net::LatencyModel{40.0, 0.0};
+  cluster.InjectLinkFault(1, 0, slow);
+  cluster.InjectLinkFault(2, 0, slow);
+
+  std::optional<Status> check;
+  std::optional<Result<WriteOutcome>> write;
+  cluster.CheckEpoch(0, 0, [&](Status s) { check = s; });
+  cluster.Write(3, 0, Update::Partial(0, {7}),
+                [&](Result<WriteOutcome> r) { write = std::move(r); });
+  while ((!check || !write) && cluster.simulator().Step()) {
+  }
+  ASSERT_TRUE(write && check);
+  ASSERT_TRUE(write->ok()) << write->status().ToString();
+  EXPECT_EQ(cluster.metrics().CounterValue("twopc.aborted"), 1u)
+      << "the install computed from the first poll must be refused";
+  ASSERT_TRUE(check->ok()) << check->ToString();
+  for (NodeId i = 0; i < 4; ++i) {
+    EXPECT_EQ(cluster.node(i).epoch().list, (NodeSet{0, 1, 2, 3}))
+        << "node " << i;
+  }
+
+  cluster.ClearNetworkFaults();
+  auto r = cluster.ReadSyncRetry(1, 0, 10);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->data[0], 7);
+  cluster.RunFor(1000);
+  EXPECT_TRUE(cluster.CheckEpochInvariants().ok());
+  EXPECT_TRUE(cluster.CheckReplicaConsistency().ok());
+  EXPECT_TRUE(cluster.CheckHistory().ok());
 }
 
 }  // namespace
