@@ -574,6 +574,11 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
     if (home_.scope) tags.push_back({"object", std::to_string(*home_.scope)});
     sim->tracer().BeginSpan("epoch", "epoch.check", node_->self(), span_id_,
                             tags);
+    Poll();
+  }
+
+ private:
+  void Poll() {
     auto self = shared_from_this();
     PollEpochs(node_, home_.members, home_.scope,
                [self](std::map<NodeId, EpochPollResponse> responded) {
@@ -581,7 +586,6 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
                });
   }
 
- private:
   void Evaluate(std::map<NodeId, EpochPollResponse> responded) {
     if (responded.empty()) {
       Complete(Status::Unavailable("no replica responded to the epoch poll"));
@@ -638,9 +642,13 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
 
     // One 2PC installs the epoch for the whole lineage and carries each
     // object's mark-stale / propagation duty — the amortization the
-    // paper promises for data items sharing a node set.
+    // paper promises for data items sharing a node set. The poll took no
+    // locks, so each member's prepare carries the state it reported and
+    // is refused if that state has moved since.
     std::map<NodeId, StagedAction> actions;
+    std::map<NodeId, std::vector<ObjectStateTuple>> expect;
     for (NodeId member : new_epoch) {
+      expect[member] = std::move(responded.at(member).objects);
       StagedAction act;
       act.install_epoch = true;
       act.epoch_number = epoch.max_epoch + 1;
@@ -663,8 +671,22 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
       actions[member] = std::move(act);
     }
     auto self = shared_from_this();
-    TwoPhaseCommit::Run(node_, owner_, std::move(actions), nullptr,
-                        [self](Status s) { self->Complete(s); });
+    TwoPhaseCommit::Run(
+        node_, owner_, std::move(actions), nullptr,
+        [self](Status s) {
+          // A member's state moved between the poll and its prepare (a
+          // write committed in the gap): poll again at once, once, rather
+          // than a whole check interval later. The retry is a new
+          // transaction, so it takes a fresh id, as WriteOp's does.
+          if (s.IsStaleData() && !self->repolled_) {
+            self->repolled_ = true;
+            self->owner_.operation_id = self->node_->NextOperationId();
+            self->Poll();
+            return;
+          }
+          self->Complete(s);
+        },
+        std::move(expect));
   }
 
   /// Single exit point: settles the epoch-check metrics and span.
@@ -685,6 +707,7 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
   EpochCheckDone done_;
   LockOwner owner_;
   uint64_t span_id_ = 0;
+  bool repolled_ = false;
 };
 
 }  // namespace

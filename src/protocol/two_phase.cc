@@ -19,9 +19,10 @@ uint64_t TxSpanId(const LockOwner& tx) {
 
 }  // namespace
 
-void TwoPhaseCommit::Run(ReplicaNode* coordinator, const LockOwner& tx,
-                         std::map<NodeId, StagedAction> actions,
-                         DecisionHook on_decide, Done done) {
+void TwoPhaseCommit::Run(
+    ReplicaNode* coordinator, const LockOwner& tx,
+    std::map<NodeId, StagedAction> actions, DecisionHook on_decide, Done done,
+    std::map<NodeId, std::vector<ObjectStateTuple>> expect) {
   NodeSet participants;
   for (const auto& [node, action] : actions) participants.Insert(node);
 
@@ -97,7 +98,11 @@ void TwoPhaseCommit::Run(ReplicaNode* coordinator, const LockOwner& tx,
             Status s = state->first_failure.ok()
                            ? Status::Aborted("2pc prepare failed")
                            : state->first_failure;
-            state->done(Status::Aborted("2pc aborted: " + s.ToString()));
+            // A participant whose state moved since the action was
+            // computed (StaleData) lets the caller recompute it.
+            std::string why = "2pc aborted: " + s.ToString();
+            state->done(s.IsStaleData() ? Status::StaleData(std::move(why))
+                                        : Status::Aborted(std::move(why)));
           }
         });
   };
@@ -122,6 +127,9 @@ void TwoPhaseCommit::Run(ReplicaNode* coordinator, const LockOwner& tx,
     prepare->owner = tx;
     prepare->action = action;
     prepare->participants = participants;
+    if (auto polled = expect.find(node); polled != expect.end()) {
+      prepare->expect = std::move(polled->second);
+    }
     coordinator->rpc().Call(
         node, msg::kPrepare, prepare,
         [state, finish_phase1](net::RpcResult r) {

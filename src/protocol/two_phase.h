@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <vector>
 
 #include "protocol/messages.h"
 #include "protocol/replica_node.h"
@@ -35,10 +36,15 @@ class TwoPhaseCommit {
   /// held by `tx` (write operations hold them from their lock round).
   /// `done` fires with OK once commit is decided and phase 2 has been
   /// delivered (participants unreachable during phase 2 finish via
-  /// termination), or with Aborted/Unavailable if prepare failed.
-  static void Run(ReplicaNode* coordinator, const LockOwner& tx,
-                  std::map<NodeId, StagedAction> actions,
-                  DecisionHook on_decide, Done done);
+  /// termination), or with Aborted/Unavailable if prepare failed —
+  /// StaleData if the first refusal said the participant's state moved.
+  /// `expect` gives a participant the polled state its prepare must still
+  /// find (PrepareRequest::expect); epoch installs set it.
+  static void Run(
+      ReplicaNode* coordinator, const LockOwner& tx,
+      std::map<NodeId, StagedAction> actions, DecisionHook on_decide,
+      Done done,
+      std::map<NodeId, std::vector<ObjectStateTuple>> expect = {});
 };
 
 }  // namespace dcp::protocol

@@ -143,7 +143,7 @@ TEST(Determinism, GroupFingerprintIsPinned) {
   RunFingerprint fp = RunOnce(4242);
   EXPECT_GT(*std::max_element(fp.epochs.begin(), fp.epochs.end()), 0u)
       << "the pinned run must re-form an epoch";
-  EXPECT_EQ(Digest(fp), 0xaa41b409fcc41555ull);
+  EXPECT_EQ(Digest(fp), 0x8d16718616051e30ull);
 }
 
 // --- nemesis determinism ---------------------------------------------------
@@ -354,7 +354,7 @@ uint64_t RunDurableOnce(uint64_t seed) {
 }
 
 TEST(Determinism, DurableFingerprintIsPinned) {
-  EXPECT_EQ(RunDurableOnce(4242), 0x6d7dfd5e4af28d16ull);
+  EXPECT_EQ(RunDurableOnce(4242), 0x18e38fcc160b79b0ull);
 }
 
 // --- sharded determinism ---------------------------------------------------
