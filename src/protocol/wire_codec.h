@@ -11,9 +11,10 @@ namespace dcp::protocol {
 
 /// Serializes a full net::Message — envelope (src, dst, rpc id, kind,
 /// status, type) plus the typed payload — for the socket transport's
-/// length-prefixed frames. Payload bodies reuse the store::ByteWriter
-/// vocabulary and action_codec's StagedAction encoding, so the wire
-/// format shares one fixed-width little-endian dialect with the WAL.
+/// length-prefixed frames. Each payload body is a tag byte and the
+/// body's field list, encoded by the store::Put / store::Get visitors
+/// (store/codec.h) that also encode the WAL records and checkpoints;
+/// the prepare nests action_codec's StagedAction encoding.
 ///
 /// Returns an empty buffer for a message whose type/kind has no
 /// registered payload encoding (a programming error — the vocabulary is
