@@ -200,7 +200,7 @@ bool DecodeMessage(const uint8_t* data, size_t len, net::Message* out) {
   if (!r.ok()) return false;
   out->type = net::TypeName(type);
   out->payload = WireBodies::Decode(r, r.U8());
-  return r.ok();
+  return r.ok() && r.remaining() == 0;  // The body ends the frame.
 }
 
 rt::WireCodec MakeWireCodec() {

@@ -31,9 +31,10 @@ std::vector<uint8_t> EncodeMessage(const net::Message& msg);
 bool EncodeMessageInto(const net::Message& msg, std::vector<uint8_t>* out);
 
 /// Inverse of EncodeMessage. Returns false on malformed input (bad
-/// envelope, unknown type, truncated payload) and leaves `out`
-/// unspecified. Envelope strings are interned straight out of `data`
-/// (no temporary copies), so the buffer only needs to outlive the call.
+/// envelope, unknown type, truncated payload, bytes after the body) and
+/// leaves `out` unspecified. Envelope strings are interned straight out
+/// of `data` (no temporary copies), so the buffer only needs to outlive
+/// the call.
 bool DecodeMessage(const uint8_t* data, size_t len, net::Message* out);
 
 /// The protocol vocabulary's codec, packaged for SocketTransport.
