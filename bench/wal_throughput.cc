@@ -24,10 +24,14 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <map>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bench_json.h"
+#include "protocol/redo.h"
 #include "sim/simulator.h"
 #include "storage/versioned_object.h"
 #include "store/durable_store.h"
@@ -42,9 +46,11 @@ using dcp::NodeSet;
 using dcp::sim::Simulator;
 using dcp::storage::Update;
 using dcp::storage::VersionedObject;
+using dcp::store::ByteReader;
 using dcp::store::DurabilityOptions;
 using dcp::store::DurableStore;
 using dcp::store::RecoveredState;
+namespace redo = dcp::protocol::redo;
 
 double Seconds(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
@@ -101,7 +107,8 @@ CommitRunResult RunCommits(uint64_t records, uint64_t batch) {
     auto pending = std::make_shared<uint64_t>(0);
     for (uint64_t b = 0; b < batch && issued < records; ++b) {
       ++issued;
-      store.LogUpdate(0, issued, Update::Total(Payload(issued)));
+      redo::Append(store,
+                   redo::Update{0, issued, Update::Total(Payload(issued))});
       ++*pending;
       store.Commit([&next, pending] {
         if (--*pending == 0) next();
@@ -167,12 +174,9 @@ int main(int argc, char** argv) {
     std::vector<uint64_t> version(kObjects, 0);
     for (uint64_t i = 0; i < kReplayRecords; ++i) {
       uint32_t obj = static_cast<uint32_t>(i % kObjects);
-      if (i % 3 == 0) {
-        store.LogUpdate(obj, ++version[obj], Update::Total(Payload(i)));
-      } else {
-        store.LogUpdate(obj, ++version[obj],
-                        Update::Partial(i % 32, Payload(i)));
-      }
+      Update u = i % 3 == 0 ? Update::Total(Payload(i))
+                            : Update::Partial(i % 32, Payload(i));
+      redo::Append(store, redo::Update{obj, ++version[obj], std::move(u)});
     }
     bool committed = false;
     store.Commit([&] { committed = true; });
@@ -182,10 +186,27 @@ int main(int argc, char** argv) {
       return 1;
     }
     store.Crash();
+    // Replay decodes each record and applies its update, as a node does.
+    std::map<uint32_t, VersionedObject> objects;
     const Clock::time_point t0 = Clock::now();
-    RecoveredState state = store.Recover(BirthState(kObjects));
+    store.Recover(
+        BirthState(kObjects),
+        [&objects](RecoveredState image) {
+          for (auto& [id, os] : image.objects) {
+            objects[id] = std::move(os.object);
+          }
+        },
+        [&objects](uint8_t type, ByteReader& payload) {
+          std::optional<redo::Record> record = redo::Decode(type, payload);
+          auto* r = record ? std::get_if<redo::Update>(&*record) : nullptr;
+          if (r == nullptr) return;
+          VersionedObject& object = objects.at(r->object);
+          if (object.version() + 1 == r->produced) {
+            object.Apply(std::move(r->update));
+          }
+        });
     double wall = Seconds(t0, Clock::now());
-    if (state.objects.at(0).object.version() != version[0]) {
+    if (objects.at(0).version() != version[0]) {
       std::fprintf(stderr, "wal_throughput: replay lost records\n");
       return 1;
     }
@@ -211,7 +232,7 @@ int main(int argc, char** argv) {
       ++issued;
       Update u = Update::Total(Payload(issued));
       live.objects.at(0).object.Apply(u);
-      store.LogUpdate(0, issued, u);
+      redo::Append(store, redo::Update{0, issued, u});
       // A small think-time gap between commits leaves the tail empty at
       // the sync hook, letting the checkpoint trigger mid-run (a chain
       // that re-appends inside the commit callback never does).

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace dcp::storage {
 
-void VersionedObject::Apply(const Update& update) {
+void VersionedObject::Apply(Update update) {
   if (update.total) {
     data_ = update.bytes;
   } else {
@@ -15,7 +16,7 @@ void VersionedObject::Apply(const Update& update) {
               data_.begin() + static_cast<ptrdiff_t>(update.offset));
   }
   ++version_;
-  log_.emplace(version_, update);
+  log_.emplace(version_, std::move(update));
 }
 
 Result<std::vector<Update>> VersionedObject::UpdatesSince(Version from) const {
@@ -33,21 +34,10 @@ Result<std::vector<Update>> VersionedObject::UpdatesSince(Version from) const {
 
 Update VersionedObject::Snapshot() const { return Update::Total(data_); }
 
-Status VersionedObject::ApplyPropagated(Version first_version,
-                                        const std::vector<Update>& updates) {
-  if (first_version != version_ + 1) {
-    return Status::InvalidArgument(
-        "propagation gap: have version " + std::to_string(version_) +
-        ", updates start at " + std::to_string(first_version));
-  }
-  for (const Update& u : updates) Apply(u);
-  return Status::OK();
-}
-
-void VersionedObject::InstallSnapshot(Version version, const Update& snapshot) {
+void VersionedObject::InstallSnapshot(Version version, Update snapshot) {
   assert(snapshot.total);
   assert(version >= version_);
-  data_ = snapshot.bytes;
+  data_ = std::move(snapshot.bytes);
   version_ = version;
   log_.clear();  // History before the snapshot is gone.
 }

@@ -59,7 +59,7 @@ class VersionedObject {
   /// Applies one update, producing version `version() + 1`, and logs it.
   /// Partial updates beyond the current size grow the item (zero-filled
   /// gap), mirroring file-style writes.
-  void Apply(const Update& update);
+  void Apply(Update update);
 
   /// Updates that move a replica from `from` to the current version, in
   /// application order. Fails with kNotFound if the log no longer reaches
@@ -69,13 +69,8 @@ class VersionedObject {
   /// Full-state transfer: the current contents as a single total update.
   Update Snapshot() const;
 
-  /// Installs a peer's updates; `first_version` is the version the first
-  /// update produces. Requires first_version == version() + 1.
-  [[nodiscard]] Status ApplyPropagated(Version first_version,
-                         const std::vector<Update>& updates);
-
   /// Installs a full snapshot carrying `version`.
-  void InstallSnapshot(Version version, const Update& snapshot);
+  void InstallSnapshot(Version version, Update snapshot);
 
   /// Drops log entries for versions <= `before` (they can no longer be
   /// propagated incrementally).

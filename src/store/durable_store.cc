@@ -1,6 +1,5 @@
 #include "store/durable_store.h"
 
-#include <cassert>
 #include <utility>
 
 namespace dcp::store {
@@ -39,16 +38,6 @@ DurableStore::DurableStore(rt::Runtime* sim,
   recovered_records_ = m.counter("store.recovered_records");
   recovered_torn_bytes_ = m.counter("store.recovered_torn_bytes");
   recoveries_from_checkpoint_ = m.counter("store.recoveries_from_checkpoint");
-}
-
-void DurableStore::ReserveOperationIds(uint64_t next_id) {
-  // Keep at least half a stride of durable headroom. The watermark rides
-  // the lazy flush (no barrier of its own); with a stride generously
-  // above the ids mintable within one flush interval, a recovered node
-  // never reuses a LockOwner identity.
-  if (next_id + kOpIdStride / 2 <= opid_watermark_) return;
-  opid_watermark_ = next_id + kOpIdStride;
-  Log(RecordType::kOpWatermark, opid_watermark_);
 }
 
 // --- checkpointing ---------------------------------------------------------
@@ -117,120 +106,9 @@ void DurableStore::Crash() {
   disk_.Crash();
 }
 
-void DurableStore::ApplyRecord(RecoveredState& state, uint8_t type,
-                               ByteReader& r) {
-  Get get(r);
-  storage::ObjectId object = 0;
-  switch (static_cast<RecordType>(type)) {
-    case RecordType::kUpdate: {
-      storage::Version produced = 0;
-      storage::Update update;
-      if (!get(object, produced, update)) return;
-      auto it = state.objects.find(object);
-      if (it == state.objects.end()) return;
-      // Records replay in their original order, so the version sequence
-      // is contiguous; the guard only skips records a checkpoint already
-      // covers (defensive — truncation should have removed them).
-      if (it->second.object.version() + 1 == produced) {
-        it->second.object.Apply(update);
-      }
-      break;
-    }
-    case RecordType::kSnapshot: {
-      storage::Version version = 0;
-      std::vector<uint8_t> data;
-      if (!get(object, version, data)) return;
-      auto it = state.objects.find(object);
-      if (it == state.objects.end()) return;
-      if (it->second.object.version() < version) {
-        it->second.object.InstallSnapshot(
-            version, storage::Update::Total(std::move(data)));
-      }
-      break;
-    }
-    case RecordType::kMarkStale: {
-      storage::Version desired = 0;
-      if (!get(object, desired)) return;
-      auto it = state.objects.find(object);
-      if (it == state.objects.end()) return;
-      it->second.stale = true;
-      it->second.desired_version = desired;
-      break;
-    }
-    case RecordType::kClearStale: {
-      if (!get(object)) return;
-      auto it = state.objects.find(object);
-      if (it == state.objects.end()) return;
-      it->second.stale = false;
-      it->second.desired_version = 0;
-      break;
-    }
-    case RecordType::kEpochInstall: {
-      storage::EpochRecord epoch;
-      if (!get(epoch.number, epoch.list)) return;
-      // Epochs are monotone; replay never regresses one.
-      if (epoch.number >= state.epoch_number) {
-        state.epoch_number = epoch.number;
-        state.epoch_list = std::move(epoch.list);
-      }
-      break;
-    }
-    case RecordType::kStage: {
-      RecoveredState::StagedEntry e;
-      if (!get(e.owner, e.participants, e.action)) return;
-      RecoveredState::TxKey key{e.owner.coordinator, e.owner.operation_id};
-      state.staged[key] = std::move(e);
-      break;
-    }
-    case RecordType::kResolve:
-    case RecordType::kDecide: {
-      storage::LockOwner owner;
-      uint8_t outcome = 0;
-      if (!get(owner, outcome)) return;
-      const RecoveredState::TxKey key{owner.coordinator, owner.operation_id};
-      // kDecide records the outcome only — the staged entry (if any) stays
-      // until its effect records and kResolve replay. See LogDecide.
-      if (static_cast<RecordType>(type) == RecordType::kResolve) {
-        state.staged.erase(key);
-      }
-      state.outcomes[key] = outcome;
-      break;
-    }
-    case RecordType::kPropAdd: {
-      NodeSet targets;
-      if (!get(object, targets)) return;
-      NodeSet& pending = state.pending_propagation[object];
-      pending = pending.Union(targets);
-      break;
-    }
-    case RecordType::kPropDone: {
-      NodeId target = 0;
-      if (!get(object, target)) return;
-      auto it = state.pending_propagation.find(object);
-      if (it != state.pending_propagation.end()) it->second.Erase(target);
-      break;
-    }
-    case RecordType::kOpWatermark: {
-      uint64_t watermark = 0;
-      if (!get(watermark)) return;
-      if (watermark > state.next_operation_id) {
-        state.next_operation_id = watermark;
-      }
-      break;
-    }
-    case RecordType::kObjectEpochInstall: {
-      storage::EpochRecord epoch;
-      if (!get(object, epoch.number, epoch.list)) return;
-      // Per-object lineages are monotone, independently of one another.
-      storage::EpochRecord& oe = state.object_epochs[object];
-      if (epoch.number >= oe.number) oe = std::move(epoch);
-      break;
-    }
-  }
-}
-
-RecoveredState DurableStore::Recover(RecoveredState initial) {
-  RecoveredState state = std::move(initial);
+void DurableStore::Recover(
+    RecoveredState birth, const std::function<void(RecoveredState)>& image,
+    const std::function<void(uint8_t, ByteReader&)>& record) {
   last_recovery_ = RecoveryStats{};
 
   uint64_t covered_lsn = wal_.base_lsn();
@@ -239,28 +117,27 @@ RecoveredState DurableStore::Recover(RecoveredState initial) {
     RecoveredState from_ckpt;
     uint64_t ckpt_covered = 0;
     if (DecodeCheckpoint(ckpt, &from_ckpt, &ckpt_covered)) {
-      state = std::move(from_ckpt);
+      birth = std::move(from_ckpt);
       covered_lsn = ckpt_covered;
       last_recovery_.from_checkpoint = true;
       recoveries_from_checkpoint_->Increment();
     }
   }
+  image(std::move(birth));
 
   WalScanStats scan =
-      wal_.Scan([&state, covered_lsn](uint64_t lsn, uint8_t type,
-                                      ByteReader& r) {
+      wal_.Scan([&record, covered_lsn](uint64_t lsn, uint8_t type,
+                                       ByteReader& r) {
         if (lsn < covered_lsn) return;  // Checkpoint already covers it.
-        ApplyRecord(state, type, r);
+        record(type, r);
       });
   wal_.TrimTorn(scan);
 
-  opid_watermark_ = state.next_operation_id;
   last_recovery_.replayed_records = scan.records;
   last_recovery_.torn_bytes = scan.torn_bytes;
   recoveries_->Increment();
   recovered_records_->Increment(scan.records);
   recovered_torn_bytes_->Increment(scan.torn_bytes);
-  return state;
 }
 
 }  // namespace dcp::store

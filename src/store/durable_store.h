@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -15,11 +14,6 @@
 #include "store/wal.h"
 
 namespace dcp::store {
-
-/// Operation-id watermark stride: recovery skips the id space forward to
-/// the last durable watermark, so ids are never reused as long as fewer
-/// than this many ids are minted between watermark flushes.
-inline constexpr uint64_t kOpIdStride = 256;
 
 /// The durability knob threaded through ClusterOptions. `enabled = false`
 /// (the default) constructs nothing, schedules nothing and draws no
@@ -35,10 +29,10 @@ struct DurabilityOptions {
   uint64_t checkpoint_threshold_bytes = 16 * 1024;
 };
 
-/// Everything a replica node must reconstruct after a crash — and,
-/// symmetrically, everything a checkpoint captures. The node seeds it
-/// with the initial (epoch 0, version 0) state; Recover() overlays the
-/// checkpoint and replays the log on top.
+/// The checkpoint image: everything a replica node must reconstruct
+/// after a crash. Recovery starts from it (or from the node's birth
+/// state, epoch 0 and version 0, when no checkpoint survives) and replays
+/// the log records after it.
 ///
 /// The 2PC staged actions are protocol-layer types; they travel through
 /// the store as opaque byte blobs (see protocol/action_codec.h), keeping
@@ -82,14 +76,16 @@ struct RecoveryStats {
 };
 
 /// Per-node durable storage engine: a WAL of typed redo records over a
-/// simulated disk, plus an atomically-replaced checkpoint file.
+/// simulated disk, plus an atomically-replaced checkpoint file. It holds
+/// bytes only; the records and their meaning are the protocol layer's
+/// (protocol/redo.h).
 ///
 /// Record ordering contract (what makes torn tails safe): within one
 /// commit, *effect* records (updates, stale marks, epoch installs,
-/// propagation duty) are appended before the kResolve record that erases
+/// propagation duty) are appended before the Resolve record that erases
 /// the staged transaction. A tear keeps a byte prefix, so a surviving
-/// kResolve implies its effects survived too; effects surviving without
-/// the kResolve leave the (durable, earlier) staged record in place and
+/// Resolve implies its effects survived too; effects surviving without
+/// the Resolve leave the (durable, earlier) staged record in place and
 /// cooperative termination re-derives the outcome — the version guards
 /// in the commit path make the re-apply a no-op.
 class DurableStore {
@@ -99,55 +95,11 @@ class DurableStore {
   DurableStore(const DurableStore&) = delete;
   DurableStore& operator=(const DurableStore&) = delete;
 
-  // --- typed redo records (append-only; durable at the next barrier) ---
-  void LogUpdate(storage::ObjectId object, storage::Version produced,
-                 const storage::Update& update) {
-    Log(RecordType::kUpdate, object, produced, update);
+  /// Appends one record: its type byte and payload. Durable at the next
+  /// barrier.
+  void Append(uint8_t type, const std::vector<uint8_t>& payload) {
+    wal_.Append(type, payload);
   }
-  void LogSnapshot(storage::ObjectId object, storage::Version version,
-                   const std::vector<uint8_t>& data) {
-    Log(RecordType::kSnapshot, object, version, data);
-  }
-  void LogMarkStale(storage::ObjectId object, storage::Version desired) {
-    Log(RecordType::kMarkStale, object, desired);
-  }
-  void LogClearStale(storage::ObjectId object) {
-    Log(RecordType::kClearStale, object);
-  }
-  /// An epoch install on the group-wide lineage (`scope` empty: a
-  /// kEpochInstall record) or on one object's lineage.
-  void LogEpochInstall(storage::EpochNumber number, const NodeSet& list,
-                       std::optional<storage::ObjectId> scope = std::nullopt) {
-    if (scope) {
-      Log(RecordType::kObjectEpochInstall, *scope, number, list);
-    } else {
-      Log(RecordType::kEpochInstall, number, list);
-    }
-  }
-  void LogStage(const storage::LockOwner& owner, const NodeSet& participants,
-                const std::vector<uint8_t>& action) {
-    Log(RecordType::kStage, owner, participants, action);
-  }
-  void LogResolve(const storage::LockOwner& owner, uint8_t outcome) {
-    Log(RecordType::kResolve, owner, outcome);
-  }
-  /// Coordinator decision (or outcome learned without a staged entry).
-  /// Unlike kResolve, replay records the outcome WITHOUT erasing a staged
-  /// entry: a coordinator that decided but crashed before its own
-  /// participant commit must keep its staged action so termination can
-  /// still apply the effects.
-  void LogDecide(const storage::LockOwner& owner, uint8_t outcome) {
-    Log(RecordType::kDecide, owner, outcome);
-  }
-  void LogPropAdd(storage::ObjectId object, const NodeSet& targets) {
-    Log(RecordType::kPropAdd, object, targets);
-  }
-  void LogPropDone(storage::ObjectId object, NodeId target) {
-    Log(RecordType::kPropDone, object, target);
-  }
-
-  /// Extends the durable operation-id watermark when `next_id` nears it.
-  void ReserveOperationIds(uint64_t next_id);
 
   /// Group commit: `done` fires once everything logged so far is
   /// durable. Dropped on crash.
@@ -166,11 +118,14 @@ class DurableStore {
   /// applies the disk crash model to the unsynced tails.
   void Crash();
 
-  /// Rebuilds state from checkpoint + log. `initial` is the node's
-  /// birth state (epoch 0, initial object values); the checkpoint (if
-  /// valid) replaces it and the log replays on top. Trims any torn tail
-  /// so the log is appendable again.
-  RecoveredState Recover(RecoveredState initial);
+  /// Recovery: hands `image` the checkpoint image, or `birth` when no
+  /// valid checkpoint survives, then hands `record` each log record the
+  /// image does not cover, in log order. Trims any torn tail so the log
+  /// is appendable again.
+  void Recover(RecoveredState birth,
+               const std::function<void(RecoveredState)>& image,
+               const std::function<void(uint8_t type, ByteReader& payload)>&
+                   record);
 
   const RecoveryStats& last_recovery() const { return last_recovery_; }
 
@@ -185,31 +140,7 @@ class DurableStore {
                                RecoveredState* state, uint64_t* covered_lsn);
 
  private:
-  enum class RecordType : uint8_t {
-    kUpdate = 1,
-    kSnapshot = 2,
-    kMarkStale = 3,
-    kClearStale = 4,
-    kEpochInstall = 5,
-    kStage = 6,
-    kResolve = 7,
-    kPropAdd = 8,
-    kPropDone = 9,
-    kOpWatermark = 10,
-    kDecide = 11,
-    kObjectEpochInstall = 12,
-  };
-
-  /// Appends one redo record: `type`, then the fields' encoding.
-  template <typename... Fs>
-  void Log(RecordType type, const Fs&... fields) {
-    ByteWriter w;
-    Put{w}(fields...);
-    wal_.Append(static_cast<uint8_t>(type), w.buffer());
-  }
   void MaybeCheckpoint();
-  static void ApplyRecord(RecoveredState& state, uint8_t type,
-                          ByteReader& r);
 
   rt::Runtime* sim_;
   DurabilityOptions opt_;
@@ -219,7 +150,6 @@ class DurableStore {
   Wal wal_;
   std::function<RecoveredState()> snapshot_;
   bool checkpoint_inflight_ = false;
-  uint64_t opid_watermark_ = 0;
   RecoveryStats last_recovery_;
 
   obs::Counter* checkpoints_;

@@ -16,12 +16,14 @@ struct Tracer {
 };
 Tracer& tracer();
 
-struct DurableStore {
-  void LogResolve(int owner, int outcome) {
-    (void)owner;
-    (void)outcome;
-  }
+namespace redo {
+struct Resolve {
+  int owner;
+  int outcome;
 };
+}  // namespace redo
+
+void Persist(const redo::Resolve& record) { (void)record; }
 
 struct RpcRuntime {
   void set_service(void* service) { (void)service; }
@@ -57,8 +59,8 @@ void MakeStream(unsigned long long seed, Rng& other) {
 
 // Replay path: resolves are re-appended verbatim from the scanned tail,
 // so the effects they cover are already durable.
-void Recover(DurableStore* durable) {
-  durable->LogResolve(1, 1);  // dcp-lint: allow(resolve-order)
+void Recover() {
+  Persist(redo::Resolve{1, 1});  // dcp-lint: allow(resolve-order)
 }
 
 // The rpc-dedup rule is satisfied by its own annotation form.

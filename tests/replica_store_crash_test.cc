@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "protocol/cluster.h"
+#include "protocol/redo.h"
 #include "storage/replica_store.h"
 
 namespace dcp::protocol {
@@ -189,7 +190,8 @@ TEST(NodeCrashSplit, DurabilityOnUnsyncedEffectsAreLostCleanly) {
   ReplicaNode& victim = cluster.node(3);
   ASSERT_NE(victim.durable_store(), nullptr);
 
-  victim.durable_store()->LogUpdate(0, 1, Update::Total({0x99}));
+  redo::Append(*victim.durable_store(),
+               redo::Update{0, 1, Update::Total({0x99})});
   victim.store().object().Apply(Update::Total({0x99}));  // RAM-side apply.
   // No Commit(), no sim time for the lazy flush: nothing durable.
   cluster.Crash(3);

@@ -60,24 +60,6 @@ TEST(VersionedObject, UpdatesSinceFailsWhenLogTruncated) {
   EXPECT_EQ(obj.LogSize(), 1u);
 }
 
-TEST(VersionedObject, ApplyPropagatedCatchesUp) {
-  VersionedObject source(Bytes("base"));
-  VersionedObject target(Bytes("base"));
-  source.Apply(Update::Partial(0, {'x'}));
-  source.Apply(Update::Partial(1, {'y'}));
-  auto gap = source.UpdatesSince(target.version());
-  ASSERT_TRUE(gap.ok());
-  ASSERT_TRUE(target.ApplyPropagated(1, *gap).ok());
-  EXPECT_EQ(target.version(), source.version());
-  EXPECT_EQ(target.data(), source.data());
-  EXPECT_EQ(target.Fingerprint(), source.Fingerprint());
-}
-
-TEST(VersionedObject, ApplyPropagatedRejectsGapMismatch) {
-  VersionedObject target;
-  EXPECT_FALSE(target.ApplyPropagated(5, {Update::Partial(0, {1})}).ok());
-}
-
 TEST(VersionedObject, SnapshotInstall) {
   VersionedObject source(Bytes("s"));
   for (int i = 0; i < 5; ++i) source.Apply(Update::Partial(0, {uint8_t(i)}));

@@ -1,8 +1,7 @@
 // Unit tests for the durable storage engine: the simulated disk's
 // sync/tear semantics, WAL framing and torn-tail recovery scans, group
-// commit batching, checkpoint round-trips, and DurableStore's redo-record
-// replay — including the kDecide-vs-kResolve distinction that keeps a
-// crashed coordinator's staged action recoverable.
+// commit batching, checkpoint round-trips, and what DurableStore's
+// recovery hands back: the checkpoint image, then the records after it.
 
 #include <gtest/gtest.h>
 
@@ -369,6 +368,10 @@ TEST(WalTest, LazyFlushMakesCommitlessRecordsDurable) {
 }
 
 // --- DurableStore ---------------------------------------------------------
+//
+// The store holds bytes only: these tests append raw records and check
+// what recovery hands back. What the redo records mean is checked at the
+// node (tests/redo_test.cc).
 
 DurabilityOptions StoreOptions(DiskCrashModel crash = DropModel()) {
   DurabilityOptions o;
@@ -390,115 +393,51 @@ RecoveredState BirthState(uint32_t num_objects = 1,
   return s;
 }
 
+/// What one recovery handed out: the image, then the records after it.
+struct Recovered {
+  RecoveredState image;
+  std::vector<std::pair<uint8_t, std::vector<uint8_t>>> records;
+};
+
+Recovered RecoverAll(DurableStore& store, RecoveredState birth) {
+  Recovered out;
+  store.Recover(
+      std::move(birth),
+      [&out](RecoveredState image) { out.image = std::move(image); },
+      [&out](uint8_t type, ByteReader& r) {
+        std::vector<uint8_t> payload;
+        while (r.remaining() > 0) payload.push_back(r.U8());
+        out.records.emplace_back(type, std::move(payload));
+      });
+  return out;
+}
+
 TEST(DurableStoreTest, EmptyLogRecoversBirthState) {
   sim::Simulator sim;
   DurableStore store(&sim, StoreOptions());
-  RecoveredState state = store.Recover(BirthState());
-  EXPECT_EQ(state.epoch_number, 0u);
-  EXPECT_EQ(state.objects.at(0).object.version(), 0u);
-  EXPECT_EQ(state.objects.at(0).object.data(), Bytes("init"));
+  Recovered rec = RecoverAll(store, BirthState());
+  EXPECT_EQ(rec.image.epoch_number, 0u);
+  EXPECT_EQ(rec.image.objects.at(0).object.version(), 0u);
+  EXPECT_EQ(rec.image.objects.at(0).object.data(), Bytes("init"));
+  EXPECT_TRUE(rec.records.empty());
   EXPECT_EQ(store.last_recovery().replayed_records, 0u);
   EXPECT_FALSE(store.last_recovery().from_checkpoint);
-}
-
-TEST(DurableStoreTest, EffectRecordsReplayInOrder) {
-  sim::Simulator sim;
-  DurableStore store(&sim, StoreOptions());
-
-  store.LogUpdate(0, 1, storage::Update::Total(Bytes("v1")));
-  store.LogUpdate(0, 2, storage::Update::Partial(1, Bytes("X")));
-  store.LogMarkStale(0, 5);
-  store.LogEpochInstall(3, NodeSet::FromVector({0, 1, 2}));
-  store.LogPropAdd(0, NodeSet::FromVector({3, 4}));
-  store.LogPropDone(0, 3);
-  bool committed = false;
-  store.Commit([&] { committed = true; });
-  sim.Run();
-  ASSERT_TRUE(committed);
-  store.Crash();
-
-  RecoveredState state = store.Recover(BirthState());
-  EXPECT_EQ(state.objects.at(0).object.version(), 2u);
-  EXPECT_EQ(state.objects.at(0).object.data(), Bytes("vX"));
-  EXPECT_TRUE(state.objects.at(0).stale);
-  EXPECT_EQ(state.objects.at(0).desired_version, 5u);
-  EXPECT_EQ(state.epoch_number, 3u);
-  EXPECT_EQ(state.epoch_list, NodeSet::FromVector({0, 1, 2}));
-  EXPECT_EQ(state.pending_propagation.at(0), NodeSet::FromVector({4}));
-  EXPECT_EQ(store.last_recovery().replayed_records, 6u);
-}
-
-TEST(DurableStoreTest, ClearStaleAndSnapshotReplay) {
-  sim::Simulator sim;
-  DurableStore store(&sim, StoreOptions());
-  store.LogMarkStale(0, 4);
-  store.LogSnapshot(0, 4, Bytes("caught-up"));
-  store.LogClearStale(0);
-  store.Commit([] {});
-  sim.Run();
-  store.Crash();
-
-  RecoveredState state = store.Recover(BirthState());
-  EXPECT_FALSE(state.objects.at(0).stale);
-  EXPECT_EQ(state.objects.at(0).desired_version, 0u);
-  EXPECT_EQ(state.objects.at(0).object.version(), 4u);
-  EXPECT_EQ(state.objects.at(0).object.data(), Bytes("caught-up"));
-}
-
-TEST(DurableStoreTest, ResolveErasesStagedButDecideDoesNot) {
-  // The record-type distinction that keeps a crashed coordinator's
-  // transaction recoverable: kResolve means "effects applied, staged
-  // entry dead"; kDecide means "outcome known, staged entry still owed
-  // its effects".
-  sim::Simulator sim;
-  DurableStore store(&sim, StoreOptions());
-
-  storage::LockOwner resolved{1, 10};
-  storage::LockOwner decided{1, 11};
-  store.LogStage(resolved, NodeSet::FromVector({0, 1}), Bytes("action-a"));
-  store.LogStage(decided, NodeSet::FromVector({0, 1}), Bytes("action-b"));
-  store.LogResolve(resolved, 1);
-  store.LogDecide(decided, 1);
-  store.Commit([] {});
-  sim.Run();
-  store.Crash();
-
-  RecoveredState state = store.Recover(BirthState());
-  EXPECT_EQ(state.staged.count({1, 10}), 0u);
-  ASSERT_EQ(state.staged.count({1, 11}), 1u);
-  EXPECT_EQ(state.staged.at({1, 11}).action, Bytes("action-b"));
-  EXPECT_EQ(state.staged.at({1, 11}).participants, NodeSet::FromVector({0, 1}));
-  EXPECT_EQ(state.outcomes.at({1, 10}), 1u);
-  EXPECT_EQ(state.outcomes.at({1, 11}), 1u);
 }
 
 TEST(DurableStoreTest, UnsyncedRecordsDieButSyncedPrefixSurvives) {
   sim::Simulator sim;
   DurableStore store(&sim, StoreOptions());
 
-  store.LogUpdate(0, 1, storage::Update::Total(Bytes("durable")));
+  store.Append(1, Bytes("durable"));
   store.Commit([] {});
   sim.Run();
-  store.LogUpdate(0, 2, storage::Update::Total(Bytes("volatile")));
-  store.Crash();  // Version-2 record never reached a barrier.
+  store.Append(1, Bytes("volatile"));
+  store.Crash();  // The second record never reached a barrier.
 
-  RecoveredState state = store.Recover(BirthState());
-  EXPECT_EQ(state.objects.at(0).object.version(), 1u);
-  EXPECT_EQ(state.objects.at(0).object.data(), Bytes("durable"));
-}
-
-TEST(DurableStoreTest, EpochReplayNeverRegresses) {
-  sim::Simulator sim;
-  DurableStore store(&sim, StoreOptions());
-  store.LogEpochInstall(5, NodeSet::FromVector({0, 1, 2}));
-  store.LogEpochInstall(3, NodeSet::FromVector({3, 4}));  // Stale duplicate.
-  store.Commit([] {});
-  sim.Run();
-  store.Crash();
-
-  RecoveredState state = store.Recover(BirthState());
-  EXPECT_EQ(state.epoch_number, 5u);
-  EXPECT_EQ(state.epoch_list, NodeSet::FromVector({0, 1, 2}));
+  Recovered rec = RecoverAll(store, BirthState());
+  ASSERT_EQ(rec.records.size(), 1u);
+  EXPECT_EQ(rec.records[0].first, 1u);
+  EXPECT_EQ(rec.records[0].second, Bytes("durable"));
 }
 
 TEST(DurableStoreTest, CheckpointBlobRoundTrips) {
@@ -546,11 +485,12 @@ TEST(DurableStoreTest, CheckpointTriggersTruncationAndRecovery) {
   RecoveredState live = BirthState();
   store.set_snapshot_source([&live] { return live; });
 
+  auto value = [](storage::Version v) {
+    return std::vector<uint8_t>(32, static_cast<uint8_t>(v));
+  };
   for (storage::Version v = 1; v <= 20; ++v) {
-    store.LogUpdate(0, v, storage::Update::Total(
-                              std::vector<uint8_t>(32, uint8_t(v))));
-    live.objects.at(0).object.Apply(
-        storage::Update::Total(std::vector<uint8_t>(32, uint8_t(v))));
+    store.Append(1, value(v));
+    live.objects.at(0).object.Apply(storage::Update::Total(value(v)));
     store.Commit([] {});
     sim.Run();
   }
@@ -558,52 +498,17 @@ TEST(DurableStoreTest, CheckpointTriggersTruncationAndRecovery) {
   EXPECT_GT(store.wal().base_lsn(), 0u);  // Prefix truncated.
 
   store.Crash();
-  RecoveredState state = store.Recover(BirthState());
+  Recovered rec = RecoverAll(store, BirthState());
   EXPECT_TRUE(store.last_recovery().from_checkpoint);
-  EXPECT_EQ(state.objects.at(0).object.version(), 20u);
-  EXPECT_EQ(state.objects.at(0).object.data(),
-            std::vector<uint8_t>(32, uint8_t(20)));
-}
-
-TEST(DurableStoreTest, OperationIdWatermarkPreventsReuse) {
-  sim::Simulator sim;
-  DurableStore store(&sim, StoreOptions());
-  const uint64_t stride = kOpIdStride;
-
-  // Mint a few ids; the watermark record rides a commit.
-  store.ReserveOperationIds(2);
-  store.ReserveOperationIds(3);
-  store.Commit([] {});
-  sim.Run();
-  store.Crash();
-
-  RecoveredState state = store.Recover(BirthState());
-  // The durable watermark sits a stride past the highest reservation, so
-  // any id actually handed out is strictly below it.
-  EXPECT_EQ(state.next_operation_id, 2 + stride);
-}
-
-TEST(DurableStoreTest, WatermarkLostWithTailStillCoveredByStride) {
-  // Even if the watermark record is unsynced at the crash, the *previous*
-  // durable watermark plus the node-side stride skip keeps recovered ids
-  // ahead of anything minted before the crash (fewer than a stride's
-  // worth of ids fit between two watermark flushes).
-  sim::Simulator sim;
-  DurableStore store(&sim, StoreOptions());
-  store.ReserveOperationIds(2);
-  store.Commit([] {});
-  sim.Run();
-  uint64_t durable_watermark = 2 + kOpIdStride;
-
-  // These reservations' watermark records never sync.
-  for (uint64_t id = 3; id < 3 + 100; ++id) store.ReserveOperationIds(id);
-  store.Crash();
-
-  RecoveredState state = store.Recover(BirthState());
-  EXPECT_EQ(state.next_operation_id, durable_watermark);
-  // All ids handed out (< 103) stay below watermark + 0: a recovering
-  // node that skips a further stride past this can never collide.
-  EXPECT_LT(103u, durable_watermark + kOpIdStride);
+  // The image covers a prefix of the versions; the records after it
+  // carry exactly the rest, in order.
+  const storage::Version covered = rec.image.objects.at(0).object.version();
+  EXPECT_GT(covered, 0u);
+  ASSERT_EQ(covered + rec.records.size(), 20u);
+  EXPECT_EQ(rec.image.objects.at(0).object.data(), value(covered));
+  for (size_t i = 0; i < rec.records.size(); ++i) {
+    EXPECT_EQ(rec.records[i].second, value(covered + 1 + i));
+  }
 }
 
 TEST(DurableStoreTest, CrashDuringRecoveryWindowIsRepeatable) {
@@ -612,20 +517,21 @@ TEST(DurableStoreTest, CrashDuringRecoveryWindowIsRepeatable) {
   sim::Simulator sim;
   DurableStore store(&sim, StoreOptions());
 
-  store.LogUpdate(0, 1, storage::Update::Total(Bytes("gen1")));
+  store.Append(1, Bytes("gen1"));
   store.Commit([] {});
   sim.Run();
   store.Crash();
-  RecoveredState s1 = store.Recover(BirthState());
-  ASSERT_EQ(s1.objects.at(0).object.version(), 1u);
+  Recovered r1 = RecoverAll(store, BirthState());
+  ASSERT_EQ(r1.records.size(), 1u);
 
-  store.LogUpdate(0, 2, storage::Update::Total(Bytes("gen2")));
+  store.Append(1, Bytes("gen2"));
   store.Commit([] {});
   sim.Run();
   store.Crash();
-  RecoveredState s2 = store.Recover(BirthState());
-  EXPECT_EQ(s2.objects.at(0).object.version(), 2u);
-  EXPECT_EQ(s2.objects.at(0).object.data(), Bytes("gen2"));
+  Recovered r2 = RecoverAll(store, BirthState());
+  ASSERT_EQ(r2.records.size(), 2u);
+  EXPECT_EQ(r2.records[0].second, Bytes("gen1"));
+  EXPECT_EQ(r2.records[1].second, Bytes("gen2"));
   EXPECT_EQ(store.last_recovery().replayed_records, 2u);
 }
 
