@@ -10,7 +10,7 @@
 namespace dcp::protocol {
 
 /// Field lists of a staged 2PC action (store/codec.h). The same bytes go
-/// into the WAL's kStage record, the checkpoint and, nested as a Blob,
+/// into the WAL's Stage record, the checkpoint and, nested as a Blob,
 /// the wire's PrepareRequest. The scope of an epoch install is a trailer,
 /// so a write or a group-wide install encodes byte-identically to the
 /// pre-sharding format.
