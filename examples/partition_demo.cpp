@@ -239,10 +239,16 @@ int main(int argc, char** argv) {
               cluster.network().Reachable(0, 4) ? "yes" : "no",
               cluster.network().Reachable(4, 0) ? "yes" : "no");
 
+  // WriteSyncRetry retries lock conflicts only. A prepare or vote lost to
+  // the chaos aborts the 2PC, which leaves every replica as it was, so
+  // the loop issues an aborted write again, up to the same 20 attempts.
   int committed = 0;
   for (int i = 0; i < 10; ++i) {
-    auto w = cluster.WriteSyncRetry(
-        0, Update::Partial(2, {static_cast<uint8_t>('a' + i)}), 20);
+    const Update update = Update::Partial(2, {static_cast<uint8_t>('a' + i)});
+    auto w = cluster.WriteSyncRetry(0, update, 20);
+    for (int attempt = 1; attempt < 20 && w.status().IsAborted(); ++attempt) {
+      w = cluster.WriteSyncRetry(0, update, 20);
+    }
     if (w.ok()) ++committed;
   }
   const obs::MetricsRegistry& m = cluster.metrics();
