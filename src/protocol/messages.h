@@ -80,17 +80,24 @@ constexpr LockMode EnumMax(LockMode) { return LockMode::kExclusive; }
 /// group and report its state. `op_started` is the coordinator's
 /// operation start time; under wound-wait lock policies it is the
 /// seniority that decides conflicts (0 = unknown, treated as starting
-/// at arrival).
+/// at arrival). A read names in `data_from` the one target that returns
+/// its replica's bytes with the grant; one payload goes to every target,
+/// so the request names the member rather than carrying a flag. A wire
+/// trailer: a request without it encodes as before.
 struct LockRequest : net::Payload {
   LockOwner owner;
   LockMode mode = LockMode::kExclusive;
   ObjectId object = 0;
   rt::Time op_started = 0;
+  std::optional<NodeId> data_from;
 };
 
 /// Granted-lock response. A refused lock is an app-level Conflict error.
+/// `data` holds the replica's bytes when the request named this node in
+/// `data_from`, read under the lock just granted (a wire trailer).
 struct LockResponse : net::Payload {
   ReplicaStateTuple state;
+  std::optional<std::vector<uint8_t>> data;
 };
 
 struct UnlockRequest : net::Payload {
@@ -99,7 +106,8 @@ struct UnlockRequest : net::Payload {
 
 struct AckResponse : net::Payload {};
 
-/// Reads pull the data from one up-to-date replica they hold a lock on.
+/// A read pulls the data from one up-to-date replica it holds a lock on
+/// when the lock grant did not carry it.
 struct FetchRequest : net::Payload {
   LockOwner owner;
   ObjectId object = 0;

@@ -75,14 +75,17 @@ uint64_t OpSpanId(const LockOwner& owner) {
 // ---------------------------------------------------------------------------
 
 /// One object's locks under an operation's owner: the granted tuples,
-/// their analysis once a usable quorum is held, and whether this object
-/// went through HeavyProcedure or saw a refused lock.
+/// their analysis once a usable quorum is held, whether this object went
+/// through HeavyProcedure or saw a refused lock, and the replica bytes a
+/// read's lock grant carried from `data_from`.
 struct Acquisition {
   ObjectId object = 0;
   TupleMap held;
   Analysis analysis;
   bool heavy = false;
   bool saw_conflict = false;
+  NodeId data_from = kInvalidNode;
+  std::optional<std::vector<uint8_t>> data;
 };
 
 /// Classifies an acquisition that still lacks a usable quorum after
@@ -139,7 +142,10 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp> {
 
   /// Acquires a quorum of `acqs_[idx].object` under the operation's
   /// owner: a lock multicast to the quorum the rule picks over the local
-  /// epoch list, then (or at once, if `heavy`) HeavyProcedure. `next`
+  /// epoch list, then (or at once, if `heavy`) HeavyProcedure. A shared
+  /// lock round names one member to return its data with the grant: the
+  /// coordinator itself when it is in the quorum (a send to self costs no
+  /// network hop), else a member chosen by the quorum selector. `next`
   /// gets OK with the acquisition's analysis set, or why it failed: the
   /// quorum hint's status, or AcquireFailure's classification.
   void Acquire(size_t idx, bool heavy, std::function<void(Status)> next) {
@@ -157,7 +163,14 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp> {
       next(quorum.status());
       return;
     }
-    LockNodes(idx, *quorum, std::move(next));
+    std::optional<NodeId> data_from;
+    if (mode_ == LockMode::kShared && !quorum->Empty()) {
+      data_from = quorum->Contains(node_->self())
+                      ? node_->self()
+                      : quorum->NthMember(
+                            static_cast<uint32_t>(selector % quorum->Size()));
+    }
+    LockNodes(idx, *quorum, std::move(next), data_from);
   }
 
   /// Every node this operation holds a lock on, across its objects.
@@ -208,19 +221,28 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp> {
 
  private:
   /// Locks `targets` for object `idx`, folding granted tuples into its
-  /// held set, then evaluates the acquisition.
+  /// held set and keeping the data `data_from`'s grant carried, then
+  /// evaluates the acquisition.
   void LockNodes(size_t idx, const NodeSet& targets,
-                 std::function<void(Status)> next) {
+                 std::function<void(Status)> next,
+                 std::optional<NodeId> data_from = std::nullopt) {
     sent_locks_ = true;
     auto self = shared_from_this();
-    LockRound(node_, owner_, mode_, acqs_[idx].object,
-              started_at_,  // Wound-wait seniority.
-              targets,
-              [self, idx, next = std::move(next)](GatherResult g) mutable {
-                Acquisition& acq = self->acqs_[idx];
-                if (FoldGrants(g, &acq.held)) acq.saw_conflict = true;
-                self->Evaluate(idx, std::move(next));
-              });
+    LockRound(
+        node_, owner_, mode_, acqs_[idx].object,
+        started_at_,  // Wound-wait seniority.
+        targets,
+        [self, idx, data_from, next = std::move(next)](GatherResult g) mutable {
+          Acquisition& acq = self->acqs_[idx];
+          if (FoldGrants(g, &acq.held)) acq.saw_conflict = true;
+          auto it = data_from ? g.replies.find(*data_from) : g.replies.end();
+          if (it != g.replies.end() && it->second.ok()) {
+            acq.data_from = *data_from;
+            acq.data = net::As<LockResponse>(it->second.response).data;
+          }
+          self->Evaluate(idx, std::move(next));
+        },
+        data_from);
   }
 
   /// Done if the held tuples include a quorum of the maximum-epoch
@@ -480,8 +502,9 @@ class WriteOp : public QuorumOp {
 // Read.
 // ---------------------------------------------------------------------------
 
-/// Acquires a read quorum (shared locks) for one object, fetches the data
-/// from one good replica, and releases the locks.
+/// Acquires a read quorum (shared locks) for one object, takes the data
+/// from the lock grant that carried it or else fetches it from one good
+/// replica, and releases the locks.
 class ReadOp : public QuorumOp {
  public:
   ReadOp(ReplicaNode* node, ObjectId object, HistoryRecorder* history,
@@ -504,10 +527,17 @@ class ReadOp : public QuorumOp {
 
  private:
   void Fetch() {
-    const Acquisition& acq = acqs_[0];
+    Acquisition& acq = acqs_[0];
     Version version = *acq.analysis.max_version;
     NodeSet good = GoodSet(acq.held, version);
     assert(!good.Empty());
+    // The grant's bytes were read under a lock still held, so when their
+    // sender is good they are the current value and no fetch is needed.
+    if (acq.data && good.Contains(acq.data_from)) {
+      Finish(ReadOutcome{version, std::move(*acq.data)});
+      return;
+    }
+    // The sender is behind or stale, or refused the lock: fetch instead.
     // Load sharing: rotate the fetch target across good replicas.
     NodeId target = good.NthMember(
         static_cast<uint32_t>(QuorumSelector(owner_) % good.Size()));
@@ -772,12 +802,14 @@ uint64_t QuorumSelector(const LockOwner& owner) {
 
 void LockRound(ReplicaNode* node, const LockOwner& owner, LockMode mode,
                ObjectId object, rt::Time seniority, const NodeSet& targets,
-               std::function<void(GatherResult)> done) {
+               std::function<void(GatherResult)> done,
+               std::optional<NodeId> data_from) {
   auto req = std::make_shared<LockRequest>();
   req->owner = owner;
   req->mode = mode;
   req->object = object;
   req->op_started = seniority;
+  req->data_from = data_from;
   net::MulticastGather(&node->rpc(), targets, msg::kLock, std::move(req),
                        std::move(done));
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "protocol/history.h"
@@ -61,10 +62,13 @@ void StartWrite(ReplicaNode* node, storage::ObjectId object, Update update,
                 WriteDone done);
 
 /// The read protocol: "similar to the write protocol except it does not
-/// update any replicas" (Section 4). Locks a read quorum (shared),
-/// verifies it saw a current replica, fetches the data from one good
-/// replica, and unlocks. Falls back to polling all nodes when the local
-/// epoch list was out of date or no current replica answered.
+/// update any replicas" (Section 4). Locks a read quorum (shared), with
+/// one named member returning its data in its grant; verifies it saw a
+/// current replica; and unlocks. That is two rounds when the named member
+/// is current. Otherwise (it is behind or stale, or refused the lock) the
+/// read fetches the data from one good replica in between. Falls back to
+/// polling all nodes when the local epoch list was out of date or no
+/// current replica answered.
 void StartRead(ReplicaNode* node, storage::ObjectId object,
                HistoryRecorder* history, ReadDone done);
 
@@ -138,10 +142,12 @@ uint64_t QuorumSelector(const LockOwner& owner);
 
 /// Multicasts `owner`'s request for a `mode` lock on `object` to
 /// `targets`. `seniority` is the operation's start time, which wound-wait
-/// arbitration compares. `done` gets every target's reply.
+/// arbitration compares. `done` gets every target's reply; the grant of
+/// `data_from`, if set, also carries that replica's data.
 void LockRound(ReplicaNode* node, const LockOwner& owner, LockMode mode,
                ObjectId object, rt::Time seniority, const NodeSet& targets,
-               std::function<void(net::GatherResult)> done);
+               std::function<void(net::GatherResult)> done,
+               std::optional<NodeId> data_from = std::nullopt);
 
 /// Folds a lock round's grants into `held`. Returns true if some target
 /// refused the lock (answered, but not with a grant).

@@ -27,9 +27,9 @@ void Fields(auto& io, Of<ObjectStateTuple> auto& t) {
   io(t.object, t.version, t.dversion, t.stale);
 }
 void Fields(auto& io, Of<LockRequest> auto& m) {
-  io(m.owner, m.mode, m.object, m.op_started);
+  io(m.owner, m.mode, m.object, m.op_started, m.data_from);
 }
-void Fields(auto& io, Of<LockResponse> auto& m) { io(m.state); }
+void Fields(auto& io, Of<LockResponse> auto& m) { io(m.state, m.data); }
 void Fields(auto& io, Of<UnlockRequest> auto& m) { io(m.owner); }
 void Fields(auto& io, Of<AckResponse> auto&) { io(); }
 void Fields(auto& io, Of<FetchRequest> auto& m) { io(m.owner, m.object); }

@@ -249,6 +249,17 @@ std::vector<std::pair<std::string, net::Message>> WireMessages() {
   failed.type = net::TypeName(msg::kLock).Reply();
   failed.status = Status::CallFailed("node 2 unreachable");
   add("call_failed", failed);
+
+  // A read's lock round: the request names the member whose grant carries
+  // its replica's data.
+  auto named = std::make_shared<LockRequest>(*shared);
+  named->data_from = 4;
+  add("lock_request_data_from", Request(msg::kLock, named));
+
+  auto with_data = std::make_shared<LockResponse>(*granted);
+  with_data->state.stale = false;
+  with_data->data = std::vector<uint8_t>{9, 8, 7};
+  add("lock_response_data", Response(msg::kLock, with_data));
   return out;
 }
 
@@ -355,6 +366,8 @@ constexpr Golden kGolden[] = {
     {"wire_prop_data_reply", 54, 0xbc1c348d87c6db79ull},
     {"wire_error_no_payload", 58, 0xb57f8eb8bfbd8e14ull},
     {"wire_call_failed", 59, 0x3307ae956bd7d5bfull},
+    {"wire_lock_request_data_from", 65, 0xfb5b5aaf1466230bull},
+    {"wire_lock_response_data", 94, 0x9a05eac0cd1ee4d1ull},
     {"action_write", 150, 0xe6d004464bdacd31ull},
     {"action_group_install", 162, 0xa4174b4fd3aa79d3ull},
     {"action_scoped_install", 167, 0x7b36da91860603b7ull},
@@ -406,8 +419,9 @@ TEST(CodecGoldenTest, WirePrefixesFailOrEndAtATrailer) {
       EXPECT_EQ(EncodeMessage(out), prefix) << name << " len=" << len;
     }
   }
-  // The scoped poll is the only golden message with a wire trailer.
-  EXPECT_EQ(trailer_prefixes, 1u);
+  // The golden messages with a wire trailer: the scoped poll, the lock
+  // request naming a data sender and the grant carrying data.
+  EXPECT_EQ(trailer_prefixes, 3u);
 }
 
 // The body must end the frame: a frame with bytes appended is refused,

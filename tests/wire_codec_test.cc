@@ -67,6 +67,11 @@ TEST(WireCodecTest, LockRequestRoundTrips) {
   EXPECT_EQ(q.mode, LockMode::kShared);
   EXPECT_EQ(q.object, 7u);
   EXPECT_DOUBLE_EQ(q.op_started, 123.456);
+  EXPECT_FALSE(q.data_from.has_value());
+
+  p->data_from = 5;
+  out = RoundTrip(Request(msg::kLock, p));
+  EXPECT_EQ(net::As<LockRequest>(out.payload).data_from, NodeId{5});
 }
 
 TEST(WireCodecTest, LockResponseRoundTrips) {
@@ -85,6 +90,14 @@ TEST(WireCodecTest, LockResponseRoundTrips) {
   EXPECT_TRUE(q.state.stale);
   EXPECT_EQ(q.state.elist.ToVector(), (std::vector<NodeId>{0, 2, 4}));
   EXPECT_EQ(q.state.enumber, 6u);
+  EXPECT_FALSE(q.data.has_value());
+
+  // Present but empty is not absent: an empty object still answers.
+  p->data = std::vector<uint8_t>{};
+  out = RoundTrip(Response(msg::kLock, p));
+  const auto& empty = net::As<LockResponse>(out.payload);
+  ASSERT_TRUE(empty.data.has_value());
+  EXPECT_TRUE(empty.data->empty());
 }
 
 TEST(WireCodecTest, UnlockAndAckRoundTrip) {
