@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/client_history.h"
 #include "baseline/accessible_copies.h"
 #include "harness/fault_injector.h"
 #include "harness/nemesis.h"
@@ -53,6 +54,30 @@ uint64_t FoldBytes(uint64_t h, const std::string& bytes) {
   return h;
 }
 
+/// The writes a client history saw acknowledged, as (version, ack time)
+/// pairs in invocation order.
+std::vector<std::pair<storage::Version, double>> AckedWrites(
+    const analysis::ClientHistory& history) {
+  std::vector<std::pair<storage::Version, double>> acked;
+  for (const analysis::ClientOp& op : history.ops()) {
+    if (op.kind == analysis::ClientOp::Kind::kWrite &&
+        op.outcome == analysis::ClientOp::Outcome::kOk) {
+      acked.push_back({op.version, op.returned_at});
+    }
+  }
+  return acked;
+}
+
+/// Acknowledged reads in a client history.
+size_t AckedReads(const analysis::ClientHistory& history) {
+  return static_cast<size_t>(std::count_if(
+      history.ops().begin(), history.ops().end(),
+      [](const analysis::ClientOp& op) {
+        return op.kind == analysis::ClientOp::Kind::kRead &&
+               op.outcome == analysis::ClientOp::Outcome::kOk;
+      }));
+}
+
 struct RunFingerprint {
   size_t writes;
   size_t reads;
@@ -64,7 +89,10 @@ struct RunFingerprint {
   std::vector<storage::EpochNumber> epochs;  ///< Per node, at the end.
 };
 
-RunFingerprint RunOnce(uint64_t seed) {
+/// One seeded group-mode run. The workload records into a client history
+/// unless `record` is false; the acked writes and reads it saw are the
+/// history part of the fingerprint.
+RunFingerprint RunOnce(uint64_t seed, bool record = true) {
   ClusterOptions opts;
   opts.num_nodes = 9;
   opts.coterie = CoterieKind::kGrid;
@@ -80,9 +108,11 @@ RunFingerprint RunOnce(uint64_t seed) {
   fopts.seed = seed + 1;
   harness::FaultInjector faults(&cluster, fopts);
 
+  analysis::ClientHistory history;
   harness::WorkloadDriver::Options wopts;
   wopts.arrival_rate = 0.01;
   wopts.seed = seed + 2;
+  if (record) wopts.client_history = &history;
   harness::WorkloadDriver workload(&cluster, wopts);
 
   cluster.RunFor(60000);
@@ -90,11 +120,12 @@ RunFingerprint RunOnce(uint64_t seed) {
   faults.Stop();
 
   RunFingerprint fp;
-  fp.writes = cluster.history().writes().size();
-  fp.reads = cluster.history().reads().size();
-  for (const auto& w : cluster.history().writes()) {
-    fp.write_versions.push_back(w.version);
-    fp.write_times.push_back(w.decided_at);
+  const auto acked = AckedWrites(history);
+  fp.writes = acked.size();
+  fp.reads = AckedReads(history);
+  for (const auto& [version, at] : acked) {
+    fp.write_versions.push_back(version);
+    fp.write_times.push_back(at);
   }
   for (uint32_t i = 0; i < 9; ++i) {
     fp.replica_fingerprints.push_back(
@@ -120,6 +151,20 @@ TEST(Determinism, IdenticalSeedsIdenticalRuns) {
   EXPECT_EQ(a.events_executed, b.events_executed);
 }
 
+// The pins below fold what a client history attached to the workload saw.
+// Recording draws no randomness and schedules nothing, so a recorded run
+// replays the unrecorded one exactly.
+TEST(Determinism, ClientHistoryDoesNotPerturbRuns) {
+  RunFingerprint recorded = RunOnce(4242);
+  RunFingerprint bare = RunOnce(4242, /*record=*/false);
+  EXPECT_GT(recorded.writes, 0u);
+  EXPECT_EQ(bare.writes, 0u);
+  EXPECT_EQ(recorded.replica_fingerprints, bare.replica_fingerprints);
+  EXPECT_EQ(recorded.messages_sent, bare.messages_sent);
+  EXPECT_EQ(recorded.events_executed, bare.events_executed);
+  EXPECT_EQ(recorded.epochs, bare.epochs);
+}
+
 TEST(Determinism, DifferentSeedsDiverge) {
   RunFingerprint a = RunOnce(1);
   RunFingerprint b = RunOnce(2);
@@ -143,13 +188,13 @@ TEST(Determinism, GroupFingerprintIsPinned) {
   RunFingerprint fp = RunOnce(4242);
   EXPECT_GT(*std::max_element(fp.epochs.begin(), fp.epochs.end()), 0u)
       << "the pinned run must re-form an epoch";
-  EXPECT_EQ(Digest(fp), 0x46d982ff6b9c67ceull);
+  EXPECT_EQ(Digest(fp), 0xed27b8a8a3476881ull);
 }
 
 // --- nemesis determinism ---------------------------------------------------
 // The adversarial harness must replay exactly from one seed: identical
 // "net.*" counters (including dropped/duplicated/reordered), an identical
-// applied-fault schedule, and identical committed histories.
+// applied-fault schedule, and identical acknowledged histories.
 
 struct NemesisFingerprint {
   std::map<std::string, uint64_t> net;  ///< Every "net.*" counter.
@@ -178,9 +223,11 @@ NemesisFingerprint RunNemesisOnce(uint64_t seed) {
   harness::Scenario scenario = harness::RandomScenario(seed + 17, 9, 10000);
   harness::Nemesis nemesis(&cluster, scenario);
 
+  analysis::ClientHistory history;
   harness::WorkloadDriver::Options wopts;
   wopts.arrival_rate = 0.01;
   wopts.seed = seed + 2;
+  wopts.client_history = &history;
   harness::WorkloadDriver workload(&cluster, wopts);
 
   cluster.RunFor(10000);
@@ -196,9 +243,9 @@ NemesisFingerprint RunNemesisOnce(uint64_t seed) {
     fp.fault_times.push_back(applied.at);
     fp.fault_descriptions.push_back(applied.description);
   }
-  for (const auto& w : cluster.history().writes()) {
-    fp.write_versions.push_back(w.version);
-    fp.write_times.push_back(w.decided_at);
+  for (const auto& [version, at] : AckedWrites(history)) {
+    fp.write_versions.push_back(version);
+    fp.write_times.push_back(at);
   }
   fp.events_executed = cluster.simulator().events_executed();
   fp.churn_failures =
@@ -294,13 +341,13 @@ TEST(Determinism, NemesisFingerprintIsPinned) {
   // and the pin must cover one.
   NemesisFingerprint fp = RunNemesisOnce(910);
   EXPECT_GT(fp.max_epoch, 0u) << "the pinned run must re-form an epoch";
-  EXPECT_EQ(FoldBytes(kFnvBasis, FingerprintBytes(fp)), 0xfa576ac1f08da84dull);
+  EXPECT_EQ(FoldBytes(kFnvBasis, FingerprintBytes(fp)), 0x637f6773e2ed7313ull);
 }
 
 // --- durable determinism ---------------------------------------------------
 // The crash-point nemesis over the WAL engine (simulated disk, torn tails,
-// checkpoints), folded into one digest: events executed, every acked
-// write, each node's replica and epoch, the engine's counters and the
+// checkpoints), folded into one digest: events executed, every write the
+// workload saw acknowledged (version and ack time), each node's replica and epoch, the engine's counters and the
 // delivered-message count.
 
 uint64_t RunDurableOnce(uint64_t seed) {
@@ -321,9 +368,11 @@ uint64_t RunDurableOnce(uint64_t seed) {
 
   harness::Nemesis nemesis(
       &cluster, harness::CrashPointScenario(seed + 17, 9, 12000));
+  analysis::ClientHistory history;
   harness::WorkloadDriver::Options wopts;
   wopts.arrival_rate = 0.01;
   wopts.seed = seed + 2;
+  wopts.client_history = &history;
   harness::WorkloadDriver workload(&cluster, wopts);
 
   cluster.RunFor(12000);
@@ -332,8 +381,8 @@ uint64_t RunDurableOnce(uint64_t seed) {
   cluster.RunFor(8000);
 
   uint64_t h = Fold(kFnvBasis, cluster.simulator().events_executed());
-  for (const auto& w : cluster.history().writes()) {
-    h = FoldDouble(Fold(h, w.version), w.decided_at);
+  for (const auto& [version, at] : AckedWrites(history)) {
+    h = FoldDouble(Fold(h, version), at);
   }
   storage::EpochNumber max_epoch = 0;
   for (uint32_t i = 0; i < 9; ++i) {
@@ -354,7 +403,7 @@ uint64_t RunDurableOnce(uint64_t seed) {
 }
 
 TEST(Determinism, DurableFingerprintIsPinned) {
-  EXPECT_EQ(RunDurableOnce(4242), 0xcbcbe4bc477699e5ull);
+  EXPECT_EQ(RunDurableOnce(4242), 0x07ca68065989f03dull);
 }
 
 // --- sharded determinism ---------------------------------------------------
