@@ -331,6 +331,24 @@ TEST(Linearize, WriteRealTimeOrderEnforced) {
   EXPECT_FALSE(AuditOps(ops, LinOptions()).ok);
 }
 
+TEST(Linearize, VersionGapCaught) {
+  // Acked v1 and v3 with no write that could fill slot 2.
+  std::vector<ClientOp> ops;
+  ops.push_back(AckedWrite(0, 9, 10, 1, Update::Partial(0, {'a'})));
+  ops.push_back(AckedWrite(0, 19, 20, 3, Update::Partial(0, {'b'})));
+  AuditVerdict v = AuditOps(ops, LinOptions());
+  EXPECT_FALSE(v.ok);
+  EXPECT_FALSE(v.inconclusive);
+}
+
+TEST(Linearize, ReadOfUnknownVersionCaught) {
+  std::vector<ClientOp> ops;
+  ops.push_back(OkRead(1, 1, 2, 4, {'x'}));
+  AuditVerdict v = AuditOps(ops, LinOptions());
+  EXPECT_FALSE(v.ok);
+  EXPECT_FALSE(v.inconclusive);
+}
+
 // ---------------------------------------------------------------------------
 // Partial-write and ranged-read semantics.
 
@@ -355,6 +373,83 @@ TEST(Linearize, ZeroLengthPartialBumpsVersionOnly) {
   ops.push_back(AckedWrite(0, 0, 10, 1, Update::Partial(3, {})));
   ops.push_back(OkRead(1, 20, 30, 1, {0, 0, 0}));
   EXPECT_TRUE(AuditOps(ops, LinOptions()).ok);
+}
+
+TEST(Linearize, ReplayRespectsInitialValue) {
+  // A partial write lands on the initial contents, not on empty bytes.
+  std::vector<ClientOp> ops;
+  ops.push_back(AckedWrite(0, 9, 10, 1, Update::Partial(1, {'X'})));
+  ops.push_back(OkRead(1, 12, 13, 1, {'a', 'X', 'c'}));
+  EXPECT_TRUE(AuditOps(ops, LinOptions({'a', 'b', 'c'})).ok);
+  EXPECT_FALSE(AuditOps(ops, LinOptions({'q', 'q', 'q'})).ok);
+}
+
+TEST(Linearize, TotalUpdateReplacesLongerInitialValue) {
+  std::vector<ClientOp> ops;
+  ops.push_back(AckedWrite(0, 9, 10, 1, Update::Total({'n', 'e', 'w'})));
+  ops.push_back(OkRead(1, 12, 13, 1, {'n', 'e', 'w'}));
+  EXPECT_TRUE(AuditOps(ops, LinOptions({'o', 'l', 'd', '!'})).ok);
+}
+
+TEST(Linearize, AdjacentPartialRangesCompose) {
+  // [0,2) then [2,4): adjacent but disjoint; both survive in the replay.
+  std::vector<ClientOp> ops;
+  ops.push_back(AckedWrite(0, 9, 10, 1, Update::Partial(0, {'a', 'b'})));
+  ops.push_back(AckedWrite(0, 19, 20, 2, Update::Partial(2, {'c', 'd'})));
+  ops.push_back(OkRead(1, 25, 26, 2, {'a', 'b', 'c', 'd'}));
+  EXPECT_TRUE(AuditOps(ops, LinOptions()).ok);
+}
+
+TEST(Linearize, OverlappingPartialsLastWriterWinsOnTheOverlap) {
+  std::vector<ClientOp> ops;
+  ops.push_back(AckedWrite(0, 9, 10, 1, Update::Partial(0, {'x', 'x', 'x'})));
+  ops.push_back(AckedWrite(0, 19, 20, 2, Update::Partial(1, {'y'})));
+  ops.push_back(OkRead(1, 25, 26, 2, {'x', 'y', 'x'}));
+  EXPECT_TRUE(AuditOps(ops, LinOptions()).ok);
+  // The same read pretending the overlap kept v1's byte.
+  ops.back() = OkRead(1, 25, 26, 2, {'x', 'x', 'x'});
+  EXPECT_FALSE(AuditOps(ops, LinOptions()).ok);
+}
+
+TEST(Linearize, ZeroLengthPartialKeepsPriorContents) {
+  // A zero-length update changes no bytes but still takes a version slot;
+  // a read of that version sees the prior contents.
+  std::vector<ClientOp> ops;
+  ops.push_back(AckedWrite(0, 9, 10, 1, Update::Partial(0, {'a'})));
+  ops.push_back(AckedWrite(0, 19, 20, 2, Update::Partial(0, {})));
+  ops.push_back(OkRead(1, 25, 26, 2, {'a'}));
+  EXPECT_TRUE(AuditOps(ops, LinOptions()).ok);
+}
+
+TEST(Linearize, PartialBeyondEndZeroFillsTheGap) {
+  std::vector<ClientOp> ops;
+  ops.push_back(AckedWrite(0, 9, 10, 1, Update::Partial(4, {'z'})));
+  ops.push_back(OkRead(1, 12, 13, 1, {'a', 'b', 0, 0, 'z'}));
+  EXPECT_TRUE(AuditOps(ops, LinOptions({'a', 'b'})).ok);
+}
+
+TEST(Linearize, SnapshotWritesInterleavedWithPartialsReplayInOrder) {
+  // partial, then a whole-object write, then another partial: the total
+  // write wipes the first partial, the second lands on top of it, and
+  // reads of every intermediate version check out.
+  std::vector<ClientOp> ops;
+  ops.push_back(AckedWrite(0, 9, 10, 1, Update::Partial(0, {'p'})));
+  ops.push_back(
+      AckedWrite(0, 19, 20, 2, Update::Total({'s', 'n', 'a', 'p'})));
+  ops.push_back(AckedWrite(0, 29, 30, 3, Update::Partial(1, {'X'})));
+  ops.push_back(OkRead(1, 12, 13, 1, {'p'}));
+  ops.push_back(OkRead(1, 22, 23, 2, {'s', 'n', 'a', 'p'}));
+  ops.push_back(OkRead(1, 32, 33, 3, {'s', 'X', 'a', 'p'}));
+  EXPECT_TRUE(AuditOps(ops, LinOptions()).ok);
+
+  // A read of the post-snapshot version that still shows the
+  // pre-snapshot partial is a replay violation.
+  std::vector<ClientOp> bad;
+  bad.push_back(AckedWrite(0, 9, 10, 1, Update::Partial(0, {'p'})));
+  bad.push_back(
+      AckedWrite(0, 19, 20, 2, Update::Total({'s', 'n', 'a', 'p'})));
+  bad.push_back(OkRead(1, 22, 23, 2, {'p', 'n', 'a', 'p'}));
+  EXPECT_FALSE(AuditOps(bad, LinOptions()).ok);
 }
 
 TEST(Linearize, RangedReadObservesSlice) {
