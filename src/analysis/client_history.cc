@@ -211,6 +211,19 @@ std::string ClientHistory::ToJsonl() const {
   return out;
 }
 
+bool IsDefiniteFailure(const Status& s) {
+  switch (s.code()) {
+    case StatusCode::kInvalidArgument:
+    case StatusCode::kNotFound:
+    case StatusCode::kAborted:
+    case StatusCode::kConflict:
+    case StatusCode::kStaleData:
+      return true;
+    default:
+      return false;
+  }
+}
+
 bool ClientHistory::FromJsonl(const std::string& jsonl, ClientHistory* out) {
   size_t pos = 0;
   while (pos < jsonl.size()) {

@@ -7,6 +7,7 @@
 
 #include "storage/replica_store.h"
 #include "storage/versioned_object.h"
+#include "util/status.h"
 
 namespace dcp::analysis {
 
@@ -113,6 +114,13 @@ class ClientHistory {
   /// True once the outcome is final (returned, definite fail, abandoned).
   std::vector<bool> settled_;
 };
+
+/// Whether `s` proves the operation did not take effect. Lock conflicts,
+/// decided aborts, stale data and rejected requests are definite;
+/// timeouts, lost RPCs and unreachable quorums leave the outcome in doubt
+/// (the operation may have committed behind the error), so a history
+/// keeps those open-interval.
+bool IsDefiniteFailure(const Status& s);
 
 }  // namespace dcp::analysis
 

@@ -44,7 +44,7 @@ struct SocketClusterOptions {
 /// onto the coordinator's runtime (protocol code must run on its node's
 /// execution context) and block on a future for the completion.
 ///
-/// No history recorder is attached: operations here complete in real
+/// Operations here record no client history: they complete in real
 /// time, and the linearizability audits run on the deterministic
 /// backend where they are reproducible.
 ///

@@ -14,28 +14,6 @@ using protocol::ReadOutcome;
 using protocol::Update;
 using protocol::WriteOutcome;
 
-namespace {
-
-/// Whether `s` proves the operation did not take effect. Lock conflicts,
-/// decided aborts, and rejected requests are definite; timeouts, lost
-/// RPCs, and unreachable quorums leave the outcome in doubt (the
-/// operation may have committed behind the error), so the history keeps
-/// those open-interval.
-bool IsDefiniteFailure(const Status& s) {
-  switch (s.code()) {
-    case StatusCode::kInvalidArgument:
-    case StatusCode::kNotFound:
-    case StatusCode::kAborted:
-    case StatusCode::kConflict:
-    case StatusCode::kStaleData:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 WorkloadDriver::WorkloadDriver(protocol::Cluster* cluster, Options options)
     // Stream root: the workload arrival/choice RNG is seeded from its
     // options, independent of the cluster's.  // dcp-lint: allow(raw-rng)
@@ -174,7 +152,7 @@ void WorkloadDriver::Issue() {
         if (r.ok()) {
           history->ReturnWrite(op_id, now, r.value().version);
         } else {
-          history->Fail(op_id, now, IsDefiniteFailure(r.status()));
+          history->Fail(op_id, now, analysis::IsDefiniteFailure(r.status()));
         }
       }
       tracer->EndSpan("client", "write", static_cast<uint32_t>(coordinator),
@@ -227,7 +205,7 @@ void WorkloadDriver::Issue() {
         if (r.ok()) {
           history->ReturnRead(op_id, now, r.value().version, r.value().data);
         } else {
-          history->Fail(op_id, now, IsDefiniteFailure(r.status()));
+          history->Fail(op_id, now, analysis::IsDefiniteFailure(r.status()));
         }
       }
       tracer->EndSpan("client", "read", static_cast<uint32_t>(coordinator),

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "analysis/linearize.h"
 #include "coterie/hierarchical.h"
 #include "coterie/majority.h"
 #include "coterie/tree.h"
@@ -111,20 +112,18 @@ NodeId Cluster::RouteCoordinator(storage::ObjectId object) {
 void Cluster::Write(NodeId coordinator, storage::ObjectId object,
                     Update update, WriteDone done) {
   StartWrite(&node(coordinator), object, std::move(update),
-             options_.write_options, &histories_[object], std::move(done));
+             options_.write_options, &history_, std::move(done));
 }
 
 void Cluster::Read(NodeId coordinator, storage::ObjectId object,
                    ReadDone done) {
-  StartRead(&node(coordinator), object, &histories_[object], std::move(done));
+  StartRead(&node(coordinator), object, &history_, std::move(done));
 }
 
 void Cluster::TxnWrite(NodeId coordinator, std::vector<TxnWriteSpec> specs,
                        TxnWriteDone done) {
-  StartTxnWrite(
-      &node(coordinator), std::move(specs),
-      [this](storage::ObjectId o) { return &histories_[o]; },
-      std::move(done));
+  StartTxnWrite(&node(coordinator), std::move(specs), &history_,
+                std::move(done));
 }
 
 void Cluster::CheckEpoch(NodeId initiator, storage::ObjectId object,
@@ -341,14 +340,11 @@ Status Cluster::CheckReplicaConsistency() const {
 }
 
 Status Cluster::CheckHistory() const {
-  for (const auto& [object, history] : histories_) {
-    Status s = history.CheckOneCopySerializable(options_.initial_value);
-    if (!s.ok()) {
-      return Status::Internal("object " + std::to_string(object) + ": " +
-                              s.ToString());
-    }
-  }
-  return Status::OK();
+  analysis::AuditOptions audit;
+  audit.initial_value = options_.initial_value;
+  analysis::AuditVerdict verdict = analysis::AuditHistory(history_, audit);
+  if (verdict.ok) return Status::OK();
+  return Status::Internal(verdict.ToString());
 }
 
 }  // namespace dcp::protocol

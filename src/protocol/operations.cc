@@ -112,14 +112,15 @@ Status AcquireFailure(LockMode mode, bool quorum, bool saw_conflict,
 
 /// What reads and writes share: the coordinator, one lock owner for every
 /// object the operation touches, the operation's metrics and trace span
-/// ("op.<kind>.*", span "op/<kind>"), and the per-object acquisition step
-/// of the Appendix's Write: lock a quorum, analyze, and fall back to
-/// HeavyProcedure.
+/// ("op.<kind>.*", span "op/<kind>"), its client ops in an optional
+/// history, and the per-object acquisition step of the Appendix's Write:
+/// lock a quorum, analyze, and fall back to HeavyProcedure.
 class QuorumOp : public std::enable_shared_from_this<QuorumOp> {
  protected:
   QuorumOp(ReplicaNode* node, LockMode mode, std::string kind,
-           const std::vector<ObjectId>& objects)
-      : node_(node), mode_(mode), kind_(std::move(kind)) {
+           const std::vector<ObjectId>& objects,
+           analysis::ClientHistory* history)
+      : node_(node), mode_(mode), kind_(std::move(kind)), history_(history) {
     owner_.coordinator = node_->self();
     owner_.operation_id = node_->NextOperationId();
     started_at_ = node_->runtime()->Now();
@@ -133,11 +134,25 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp> {
     return std::static_pointer_cast<Op>(shared_from_this());
   }
 
-  void Begin(std::pair<std::string, std::string> tag) {
+  /// Opens the operation's metrics and span, and records its client ops:
+  /// one write per spec in `writes`, or a read of the object when there
+  /// are none. Each op is its own client, since one coordinator runs
+  /// many operations at once and a client's ops are sequential.
+  void Begin(std::pair<std::string, std::string> tag,
+             const std::vector<TxnWriteSpec>& writes = {}) {
     rt::Runtime* sim = node_->runtime();
     sim->metrics().counter("op." + kind_ + ".started")->Increment();
     sim->tracer().BeginSpan("op", kind_, node_->self(), span_id_,
                             {std::move(tag)});
+    if (history_ == nullptr) return;
+    if (mode_ == LockMode::kShared) {
+      recorded_.push_back(history_->InvokeRead(history_->ops().size(),
+                                               acqs_[0].object, started_at_));
+    }
+    for (const TxnWriteSpec& w : writes) {
+      recorded_.push_back(history_->InvokeWrite(
+          history_->ops().size(), w.object, w.update, started_at_));
+    }
   }
 
   /// Acquires a quorum of `acqs_[idx].object` under the operation's
@@ -193,10 +208,17 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp> {
     UnlockRound(node_, owner_, Locked(), std::move(after));
   }
 
-  /// Settles the operation's metrics and trace span.
+  /// Settles the operation's metrics and trace span. An error also fails
+  /// the recorded client ops; on success the subclass has already
+  /// returned their results.
   void Settle(const Status& status) {
     rt::Runtime* sim = node_->runtime();
     obs::MetricsRegistry& m = sim->metrics();
+    if (!status.ok()) {
+      for (uint64_t id : recorded_) {
+        history_->Fail(id, sim->Now(), analysis::IsDefiniteFailure(status));
+      }
+    }
     std::string outcome;
     if (status.ok()) {
       m.counter("op." + kind_ + ".committed")->Increment();
@@ -218,6 +240,9 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp> {
   uint64_t span_id_ = 0;
   rt::Time started_at_ = 0;
   std::vector<Acquisition> acqs_;
+  analysis::ClientHistory* history_;
+  /// The client-op ids Begin recorded: a read's, or one per write spec.
+  std::vector<uint64_t> recorded_;
 
  private:
   /// Locks `targets` for object `idx`, folding granted tuples into its
@@ -303,15 +328,16 @@ std::vector<ObjectId> ObjectsOf(const std::vector<TxnWriteSpec>& specs) {
 class WriteOp : public QuorumOp {
  public:
   WriteOp(ReplicaNode* node, std::string kind, std::vector<TxnWriteSpec> specs,
-          WriteOptions options, HistoryLookup histories, TxnWriteDone done)
-      : QuorumOp(node, LockMode::kExclusive, std::move(kind), ObjectsOf(specs)),
+          WriteOptions options, analysis::ClientHistory* history,
+          TxnWriteDone done)
+      : QuorumOp(node, LockMode::kExclusive, std::move(kind), ObjectsOf(specs),
+                 history),
         specs_(std::move(specs)),
         options_(options),
-        histories_(std::move(histories)),
         done_(std::move(done)) {}
 
   void Start(std::pair<std::string, std::string> tag) {
-    Begin(std::move(tag));
+    Begin(std::move(tag), specs_);
     if (specs_.empty()) {
       Complete(Status::InvalidArgument("transactional write with no specs"));
       return;
@@ -438,20 +464,7 @@ class WriteOp : public QuorumOp {
 
     auto self = Self<WriteOp>();
     TwoPhaseCommit::Run(
-        node_, owner_, std::move(actions),
-        [self, versions](TxOutcome outcome) {
-          if (outcome != TxOutcome::kCommitted || !self->histories_) return;
-          for (const TxnWriteSpec& spec : self->specs_) {
-            HistoryRecorder* h = self->histories_(spec.object);
-            if (h == nullptr) continue;
-            HistoryRecorder::CommittedWrite w;
-            w.version = versions.at(spec.object);
-            w.update = spec.update;
-            w.decided_at = self->node_->runtime()->Now();
-            w.coordinator = self->node_->self();
-            h->RecordWriteDecision(w);
-          }
-        },
+        node_, owner_, std::move(actions), nullptr,
         [self, versions](Status s) {
           if (s.ok()) {
             self->Complete(TxnWriteOutcome{versions});
@@ -483,16 +496,21 @@ class WriteOp : public QuorumOp {
     ReleaseThen([self, status] { self->Complete(status); });
   }
 
-  /// Single exit point: settles metrics and span, then hands the result
-  /// to the caller.
+  /// Single exit point: settles the client ops, metrics and span, then
+  /// hands the result to the caller.
   void Complete(Result<TxnWriteOutcome> result) {
+    if (result.ok()) {
+      for (size_t i = 0; i < recorded_.size(); ++i) {
+        history_->ReturnWrite(recorded_[i], node_->runtime()->Now(),
+                              result->versions.at(specs_[i].object));
+      }
+    }
     Settle(result.status());
     done_(std::move(result));
   }
 
   std::vector<TxnWriteSpec> specs_;
   WriteOptions options_;
-  HistoryLookup histories_;
   TxnWriteDone done_;
   /// Per spec: the pre-write value a promotion starts from, if any.
   std::vector<std::optional<std::vector<uint8_t>>> base_values_;
@@ -507,10 +525,9 @@ class WriteOp : public QuorumOp {
 /// replica, and releases the locks.
 class ReadOp : public QuorumOp {
  public:
-  ReadOp(ReplicaNode* node, ObjectId object, HistoryRecorder* history,
+  ReadOp(ReplicaNode* node, ObjectId object, analysis::ClientHistory* history,
          ReadDone done)
-      : QuorumOp(node, LockMode::kShared, "read", {object}),
-        history_(history),
+      : QuorumOp(node, LockMode::kShared, "read", {object}, history),
         done_(std::move(done)) {}
 
   void Start() {
@@ -555,15 +572,6 @@ class ReadOp : public QuorumOp {
   }
 
   void Finish(ReadOutcome out) {
-    if (history_ != nullptr) {
-      HistoryRecorder::CompletedRead r;
-      r.version = out.version;
-      r.data = out.data;
-      r.started_at = started_at_;
-      r.finished_at = node_->runtime()->Now();
-      r.coordinator = node_->self();
-      history_->RecordRead(r);
-    }
     auto self = Self<ReadOp>();
     ReleaseThen([self, out = std::move(out)] { self->Complete(out); });
   }
@@ -574,11 +582,14 @@ class ReadOp : public QuorumOp {
   }
 
   void Complete(Result<ReadOutcome> result) {
+    if (result.ok() && !recorded_.empty()) {
+      history_->ReturnRead(recorded_[0], node_->runtime()->Now(),
+                           result->version, result->data);
+    }
     Settle(result.status());
     done_(std::move(result));
   }
 
-  HistoryRecorder* history_;
   ReadDone done_;
 };
 
@@ -743,15 +754,11 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
 }  // namespace
 
 void StartWrite(ReplicaNode* node, storage::ObjectId object, Update update,
-                WriteOptions options, HistoryRecorder* history,
+                WriteOptions options, analysis::ClientHistory* history,
                 WriteDone done) {
-  HistoryLookup histories;
-  if (history != nullptr) {
-    histories = [history](ObjectId) { return history; };
-  }
   std::vector<TxnWriteSpec> specs{TxnWriteSpec{object, std::move(update)}};
   auto op = std::make_shared<WriteOp>(
-      node, "write", std::move(specs), options, std::move(histories),
+      node, "write", std::move(specs), options, history,
       [object, done = std::move(done)](Result<TxnWriteOutcome> r) {
         if (r.ok()) {
           done(WriteOutcome{r.value().versions.at(object)});
@@ -763,7 +770,7 @@ void StartWrite(ReplicaNode* node, storage::ObjectId object, Update update,
 }
 
 void StartRead(ReplicaNode* node, storage::ObjectId object,
-               HistoryRecorder* history, ReadDone done) {
+               analysis::ClientHistory* history, ReadDone done) {
   auto op = std::make_shared<ReadOp>(node, object, history, std::move(done));
   op->Start();
 }
@@ -775,10 +782,10 @@ void StartEpochCheck(ReplicaNode* node, storage::ObjectId object,
 }
 
 void StartTxnWrite(ReplicaNode* node, std::vector<TxnWriteSpec> specs,
-                   HistoryLookup histories, TxnWriteDone done) {
+                   analysis::ClientHistory* history, TxnWriteDone done) {
   std::string count = std::to_string(specs.size());
   auto op = std::make_shared<WriteOp>(node, "txn", std::move(specs),
-                                      WriteOptions{}, std::move(histories),
+                                      WriteOptions{}, history,
                                       std::move(done));
   op->Start({"objects", std::move(count)});
 }

@@ -7,7 +7,7 @@
 #include <optional>
 #include <vector>
 
-#include "protocol/history.h"
+#include "analysis/client_history.h"
 #include "protocol/messages.h"
 #include "protocol/replica_node.h"
 #include "util/result.h"
@@ -53,12 +53,13 @@ struct WriteOptions {
 ///      nodes, re-evaluate, and either commit as above or abort.
 ///
 /// Lock conflicts abort the attempt with kConflict (the caller retries
-/// with backoff — see Cluster::Write). `history` may be null. `object`
-/// selects the data item within the node's replica group. This is the
+/// with backoff — see Cluster::Write). `history`, if not null, records
+/// the write as a client op from start to completion. `object` selects
+/// the data item within the node's replica group. This is the
 /// one-spec case of StartTxnWrite, reported under the `op.write.*`
 /// metrics and the `op/write` span.
 void StartWrite(ReplicaNode* node, storage::ObjectId object, Update update,
-                WriteOptions options, HistoryRecorder* history,
+                WriteOptions options, analysis::ClientHistory* history,
                 WriteDone done);
 
 /// The read protocol: "similar to the write protocol except it does not
@@ -68,9 +69,9 @@ void StartWrite(ReplicaNode* node, storage::ObjectId object, Update update,
 /// is current. Otherwise (it is behind or stale, or refused the lock) the
 /// read fetches the data from one good replica in between. Falls back to
 /// polling all nodes when the local epoch list was out of date or no
-/// current replica answered.
+/// current replica answered. `history` is as for StartWrite.
 void StartRead(ReplicaNode* node, storage::ObjectId object,
-               HistoryRecorder* history, ReadDone done);
+               analysis::ClientHistory* history, ReadDone done);
 
 /// The epoch-checking operation (Section 4.3 / Appendix CheckEpoch) on
 /// the lineage that owns `object` (the group-wide lineage in a group
@@ -100,12 +101,6 @@ struct TxnWriteOutcome {
 };
 using TxnWriteDone = std::function<void(Result<TxnWriteOutcome>)>;
 
-/// Per-object history sink for transactional writes; may return nullptr
-/// for objects whose history is not being recorded. The lookup itself may
-/// also be null.
-using HistoryLookup =
-    std::function<HistoryRecorder*(storage::ObjectId)>;
-
 /// Cross-object transactional write: acquires a write quorum for every
 /// object in `specs` (objects are locked in spec order under ONE lock
 /// owner, so the per-node wound-wait arbitration resolves conflicts
@@ -121,8 +116,10 @@ using HistoryLookup =
 ///
 /// On failure every acquired lock (across all objects) is released.
 /// Duplicate object ids in `specs` are rejected (kInvalidArgument).
+/// `history`, if not null, records one client write per spec, all over
+/// the transaction's interval.
 void StartTxnWrite(ReplicaNode* node, std::vector<TxnWriteSpec> specs,
-                   HistoryLookup histories, TxnWriteDone done);
+                   analysis::ClientHistory* history, TxnWriteDone done);
 
 // ---------------------------------------------------------------------------
 // Coordinator rounds: the message exchanges every coordinator is built

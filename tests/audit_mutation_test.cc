@@ -2,7 +2,9 @@
 // disable a protocol defense behind a test-only hook
 // (ReplicaNodeOptions::MutationHooks), run a seeded fault storm, and
 // assert the client-history auditor catches the seeded violation with a
-// minimized counterexample. This proves the audit has teeth: each hook
+// minimized counterexample, both over the workload's history and through
+// Cluster::CheckHistory over the cluster's own. This proves the audit has
+// teeth: each hook
 // resurrects a real bug class (reading around in-doubt prepared writes;
 // serving stale replicas as current) that the protocol's defenses exist
 // to prevent — if the auditor cannot see these, it cannot see a
@@ -39,13 +41,14 @@ constexpr sim::Time kHorizon = 8000;
 
 struct MutationRun {
   analysis::AuditVerdict verdict;
+  Status cluster_check;  ///< Cluster::CheckHistory() after the run.
   uint64_t ops_recorded = 0;
   uint64_t hook_fired = 0;  ///< mutation.* counter for the active hook.
 };
 
 /// One seeded adversarial run with the given cluster options and fault
 /// schedule, returning the audit verdict over the client-observed
-/// history.
+/// history and the cluster's own check.
 MutationRun RunAudited(ClusterOptions opts, uint64_t seed,
                        const Scenario& scenario,
                        const std::string& hook_counter) {
@@ -71,6 +74,7 @@ MutationRun RunAudited(ClusterOptions opts, uint64_t seed,
   a.initial_value = opts.initial_value;
   MutationRun run;
   run.verdict = analysis::AuditHistory(history, a);
+  run.cluster_check = cluster.CheckHistory();
   run.ops_recorded = history.ops().size();
   run.hook_fired = cluster.metrics().counter(hook_counter)->value();
   return run;
@@ -94,6 +98,8 @@ uint64_t ScanForCaughtViolation(
       EXPECT_FALSE(run.verdict.counterexample.empty())
           << "violation without a counterexample: "
           << run.verdict.ToString();
+      EXPECT_FALSE(run.cluster_check.ok())
+          << "Cluster::CheckHistory missed the violation on seed " << seed;
       *diagnosis = run.verdict.ToString();
       return seed;
     }
@@ -172,6 +178,7 @@ TEST(AuditMutations, SkipRelockStagedIsCaught) {
   MutationRun clean = RunAudited(control, caught, make_scenario(caught),
                                  "mutation.relock_skipped");
   EXPECT_TRUE(clean.verdict.ok) << clean.verdict.ToString();
+  EXPECT_TRUE(clean.cluster_check.ok()) << clean.cluster_check.ToString();
   EXPECT_EQ(clean.hook_fired, 0u);
 }
 
@@ -222,6 +229,7 @@ TEST(AuditMutations, ServeStaleReadsIsCaught) {
   MutationRun clean = RunAudited(control, caught, make_scenario(caught),
                                  "mutation.stale_lied");
   EXPECT_TRUE(clean.verdict.ok) << clean.verdict.ToString();
+  EXPECT_TRUE(clean.cluster_check.ok()) << clean.cluster_check.ToString();
   EXPECT_EQ(clean.hook_fired, 0u);
 }
 

@@ -65,13 +65,15 @@ bool RunToQuiescence(Cluster& cluster, sim::Time budget) {
 }
 
 /// Highest version the cluster ever acknowledged to a client for
-/// `object`. The history recorder only records decided operations, so
-/// this is exactly the durability obligation: every version in here was
+/// `object`: the durability obligation, since every version in here was
 /// promised.
 storage::Version MaxAckedVersion(Cluster& cluster, storage::ObjectId object) {
   storage::Version max_acked = 0;
-  for (const auto& w : cluster.history(object).writes()) {
-    max_acked = std::max(max_acked, w.version);
+  for (const analysis::ClientOp& op : cluster.history().ops()) {
+    if (op.object == object && op.kind == analysis::ClientOp::Kind::kWrite &&
+        op.outcome == analysis::ClientOp::Outcome::kOk) {
+      max_acked = std::max(max_acked, op.version);
+    }
   }
   return max_acked;
 }
@@ -238,9 +240,12 @@ DurableFingerprint RunDurableOnce(uint64_t seed, bool durable) {
   for (const auto& applied : nemesis.log()) {
     fp.fault_descriptions.push_back(applied.description);
   }
-  for (const auto& w : cluster.history().writes()) {
-    fp.write_versions.push_back(w.version);
-    fp.write_times.push_back(w.decided_at);
+  for (const analysis::ClientOp& op : cluster.history().ops()) {
+    if (op.kind == analysis::ClientOp::Kind::kWrite &&
+        op.outcome == analysis::ClientOp::Outcome::kOk) {
+      fp.write_versions.push_back(op.version);
+      fp.write_times.push_back(op.returned_at);
+    }
   }
   for (uint32_t i = 0; i < cluster.num_nodes(); ++i) {
     fp.replica_fingerprints.push_back(

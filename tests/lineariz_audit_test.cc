@@ -312,8 +312,11 @@ RunFingerprint RunNemesisOnce(uint64_t seed, analysis::ClientHistory* history) {
   RunFingerprint fp;
   fp.metrics_json = cluster.metrics().ToJson();
   fp.events_executed = cluster.simulator().events_executed();
-  for (const auto& w : cluster.history().writes()) {
-    fp.write_versions.push_back(w.version);
+  for (const analysis::ClientOp& op : cluster.history().ops()) {
+    if (op.kind == analysis::ClientOp::Kind::kWrite &&
+        op.outcome == analysis::ClientOp::Outcome::kOk) {
+      fp.write_versions.push_back(op.version);
+    }
   }
   for (uint32_t i = 0; i < cluster.num_nodes(); ++i) {
     fp.replica_fingerprints.push_back(
