@@ -596,8 +596,11 @@ Result<PayloadPtr> ReplicaNode::HandlePrepare(const PrepareRequest& req) {
     return Status::NotFound("prepare names an unknown lineage");
   }
   // Writes already hold their exclusive lock from the lock round (lock
-  // is re-entrant); epoch changes acquire theirs here. On any conflict,
-  // release what this attempt acquired and refuse.
+  // is re-entrant); epoch changes acquire theirs here. A write that no
+  // longer holds one (stolen after its lease, wounded, or lost in a
+  // crash) computed its action from a state another write may have moved
+  // since, so it is refused. On any conflict, release what this attempt
+  // acquired and refuse.
   std::vector<ObjectId> newly_locked;
   auto refuse = [&](Status s) {
     for (ObjectId locked : newly_locked) {
@@ -611,6 +614,9 @@ Result<PayloadPtr> ReplicaNode::HandlePrepare(const PrepareRequest& req) {
       return refuse(Status::NotFound("prepare names unknown object"));
     }
     bool held_before = it->second.HoldsLock(req.owner);
+    if (!held_before && !req.action.install_epoch) {
+      return refuse(Status::Conflict("prepare without the write's lock"));
+    }
     Status s = TryLock(object, it->second, req.owner, /*exclusive=*/true);
     if (!s.ok()) return refuse(s);
     if (!held_before) newly_locked.push_back(object);

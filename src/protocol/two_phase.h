@@ -32,8 +32,9 @@ class TwoPhaseCommit {
   using DecisionHook = std::function<void(TxOutcome)>;
 
   /// Runs one transaction from `coordinator`. Participants are the keys
-  /// of `actions`. Exclusive locks are acquired by prepare if not already
-  /// held by `tx` (write operations hold them from their lock round).
+  /// of `actions`. An epoch install's prepare acquires its exclusive
+  /// locks; any other prepare must find them held by `tx` from its lock
+  /// round and is refused (Conflict) where they are not.
   /// `done` fires with OK once commit is decided and phase 2 has been
   /// delivered (participants unreachable during phase 2 finish via
   /// termination), or with Aborted/Unavailable if prepare failed —

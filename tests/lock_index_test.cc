@@ -270,10 +270,22 @@ TEST_F(LockIndexTest, LeaseStealsByDeadCoordinatorsLeaveNoRecords) {
   ExpectReleased(live);
 }
 
+// A write prepares only objects its lock round still holds; an epoch
+// install takes its locks at prepare.
+TEST_F(LockIndexTest, WritePrepareWithoutItsLockIsRefused) {
+  Build();
+  LockOwner tx{1, 10};
+  Status s = Prepare(tx, UpdateAction(hosted_[3], 1));
+  EXPECT_TRUE(s.IsConflict()) << s.ToString();
+  EXPECT_EQ(node().lock_record_count(), 0u);
+  EXPECT_FALSE(node().has_staged_transaction());
+}
+
 TEST_F(LockIndexTest, PropagationReleasesTransferLock) {
   Build();
   const ObjectId object = hosted_[11];
   LockOwner tx{1, 10};
+  ASSERT_TRUE(Lock(tx, object).ok());
   ASSERT_TRUE(Prepare(tx, MarkStaleAction(object, 3)).ok());
   ASSERT_TRUE(Commit(tx).ok());
   ASSERT_TRUE(node().store(object).stale());
@@ -317,7 +329,10 @@ TEST_F(LockIndexTest, RecoveryRelocksExactlyTheInDoubtFootprints) {
   LockOwner pair{2, 20};
   LockOwner install{3, 30};
   LockOwner reader{4, 40};
+  ASSERT_TRUE(Lock(single, hosted_[1]).ok());
   ASSERT_TRUE(Prepare(single, MarkStaleAction(hosted_[1], 2)).ok());
+  ASSERT_TRUE(Lock(pair, hosted_[2]).ok());
+  ASSERT_TRUE(Lock(pair, hosted_[3]).ok());
   StagedAction two = MarkStaleAction(hosted_[2], 2);
   two.objects.push_back(MarkStaleAction(hosted_[3], 2).objects[0]);
   ASSERT_TRUE(Prepare(pair, two).ok());

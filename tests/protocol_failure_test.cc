@@ -226,6 +226,50 @@ TEST(ProtocolFailure, CoordinatorCrashMidOperationIsSafe) {
   EXPECT_TRUE(cluster.CheckHistory().ok()) << cluster.CheckHistory().ToString();
 }
 
+TEST(ProtocolFailure, WriteThatLostItsLockCannotPrepare) {
+  // A write's prepare must find the locks its lock round took. Here
+  // coordinator 2's links to the other nodes are slow (40 per hop), so
+  // its prepare reaches a quorum member 40 after the lock grant, past a
+  // 20 lease. A second writer steals that lock in the gap and commits
+  // version 1. Were the late prepare to lock the object afresh, the first
+  // write would commit the version 1 it computed from the state before
+  // the second: two writes acked at one version, replicas diverging.
+  ClusterOptions opts = Options(3, CoterieKind::kMajority);
+  opts.latency = net::LatencyModel{1.0, 0.0};
+  opts.node_options.lock_lease = 20;
+  Cluster cluster(opts);
+  ASSERT_TRUE(cluster.ReadSync(2).ok());  // Rotates node 2's next quorum.
+  net::LinkFaults slow;
+  slow.latency = net::LatencyModel{40.0, 0.0};
+  cluster.InjectLinkFault(2, 0, slow);
+  cluster.InjectLinkFault(2, 1, slow);
+
+  Result<WriteOutcome> first = Status::Internal("unset");
+  Result<WriteOutcome> second = Status::Internal("unset");
+  const sim::Time t0 = cluster.simulator().Now();
+  cluster.Write(2, 0, Update::Partial(0, {'A'}),
+                [&](Result<WriteOutcome> r) { first = std::move(r); });
+  cluster.simulator().ScheduleAt(t0 + 65, [&] {
+    cluster.Write(1, 0, Update::Partial(0, {'B'}),
+                  [&](Result<WriteOutcome> r) { second = std::move(r); });
+  });
+  cluster.RunFor(2000);
+
+  uint64_t steals = 0;
+  for (NodeId n = 0; n < 3; ++n) {
+    steals += cluster.metrics().CounterValue("node." + std::to_string(n) +
+                                             ".lock_steals");
+  }
+  EXPECT_GT(steals, 0u) << "the second writer must steal an expired lock";
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->version, 1u);
+  EXPECT_FALSE(first.ok() && first->version == second->version);
+  EXPECT_TRUE(cluster.Quiescent());
+  EXPECT_TRUE(cluster.CheckReplicaConsistency().ok())
+      << cluster.CheckReplicaConsistency().ToString();
+  EXPECT_TRUE(cluster.CheckHistory().ok()) << cluster.CheckHistory().ToString();
+}
+
 TEST(ProtocolFailure, DynamicMajorityShrinkToTwoNodes) {
   Cluster cluster(Options(9, CoterieKind::kMajority));
   std::vector<NodeId> crash_order = {8, 7, 6, 5, 4, 3, 2};

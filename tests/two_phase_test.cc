@@ -21,6 +21,19 @@ ClusterOptions Options() {
   return opts;
 }
 
+/// Takes `tx`'s exclusive lock on object 0 at each of `nodes`, as a
+/// write's lock round does before its prepare: a prepare that is not an
+/// epoch install is refused where its lock is not held.
+void LockAt(Cluster& cluster, const LockOwner& tx, const NodeSet& nodes) {
+  for (NodeId n : nodes) {
+    auto req = std::make_shared<LockRequest>();
+    req->owner = tx;
+    req->mode = LockMode::kExclusive;
+    ASSERT_TRUE(
+        cluster.node(n).HandleRequest(tx.coordinator, msg::kLock, req).ok());
+  }
+}
+
 StagedAction MarkStaleAction(Version dv) {
   ObjectAction obj;
   obj.mark_stale = true;
@@ -35,6 +48,7 @@ TEST(TwoPhase, CommitAppliesEverywhere) {
   LockOwner tx{0, cluster.node(0).NextOperationId()};
   std::map<NodeId, StagedAction> actions;
   for (NodeId n = 1; n <= 3; ++n) actions[n] = MarkStaleAction(7);
+  LockAt(cluster, tx, NodeSet({1, 2, 3}));
 
   Status result = Status::Internal("unset");
   TxOutcome decided = TxOutcome::kUnknown;
@@ -60,6 +74,7 @@ TEST(TwoPhase, PrepareFailureAbortsEverywhere) {
   LockOwner tx{0, cluster.node(0).NextOperationId()};
   std::map<NodeId, StagedAction> actions;
   for (NodeId n = 1; n <= 3; ++n) actions[n] = MarkStaleAction(7);
+  LockAt(cluster, tx, NodeSet({1, 2}));
 
   Status result;
   TxOutcome decided = TxOutcome::kUnknown;
@@ -93,6 +108,7 @@ TEST(TwoPhase, ConflictingPreparesAbort) {
   LockOwner tx{0, cluster.node(0).NextOperationId()};
   std::map<NodeId, StagedAction> actions;
   for (NodeId n = 1; n <= 2; ++n) actions[n] = MarkStaleAction(7);
+  LockAt(cluster, tx, NodeSet({1}));  // The blocker holds node 2.
   Status result;
   TwoPhaseCommit::Run(&cluster.node(0), tx, actions, nullptr,
                       [&](Status s) { result = s; });
@@ -108,6 +124,7 @@ TEST(TwoPhase, ParticipantCrashAfterPrepareRecoversAndLearnsOutcome) {
   LockOwner tx{0, cluster.node(0).NextOperationId()};
   std::map<NodeId, StagedAction> actions;
   for (NodeId n = 1; n <= 3; ++n) actions[n] = MarkStaleAction(9);
+  LockAt(cluster, tx, NodeSet({1, 2, 3}));
 
   // Crash node 2 after it prepared and acked (t=2) but before the commit
   // arrives (t=3).
@@ -133,6 +150,7 @@ TEST(TwoPhase, CoordinatorCrashBeforeDecisionPresumesAbort) {
   LockOwner tx{0, cluster.node(0).NextOperationId()};
   std::map<NodeId, StagedAction> actions;
   for (NodeId n = 1; n <= 3; ++n) actions[n] = MarkStaleAction(9);
+  LockAt(cluster, tx, NodeSet({1, 2, 3}));
 
   // Crash the coordinator while prepares are in flight (before acks
   // return at ~2 time units).
@@ -165,6 +183,7 @@ TEST(TwoPhase, CoordinatorCrashAfterDecisionCommitsViaTermination) {
   LockOwner tx{0, cluster.node(0).NextOperationId()};
   std::map<NodeId, StagedAction> actions;
   for (NodeId n = 1; n <= 3; ++n) actions[n] = MarkStaleAction(9);
+  LockAt(cluster, tx, NodeSet({1, 2, 3}));
 
   TxOutcome decided = TxOutcome::kUnknown;
   TwoPhaseCommit::Run(&cluster.node(0), tx, actions,
@@ -193,6 +212,7 @@ TEST(TwoPhase, PeersResolveWhenCoordinatorStaysDown) {
   LockOwner tx{0, cluster.node(0).NextOperationId()};
   std::map<NodeId, StagedAction> actions;
   for (NodeId n = 1; n <= 3; ++n) actions[n] = MarkStaleAction(9);
+  LockAt(cluster, tx, NodeSet({1, 2, 3}));
 
   // Prepares ack at t=2 (decision); commits are delivered at t=3. Crash
   // node 3 AND the coordinator at t=2.5: the commits (already on the
@@ -242,6 +262,7 @@ TEST(TwoPhase, LateCommitAfterPropagationCatchUpIsSubsumed) {
     act.objects.push_back(std::move(obj));
     actions[n] = std::move(act);
   }
+  LockAt(cluster, tx, NodeSet({1, 2, 3}));
   Status w2_status = Status::Internal("unset");
   TwoPhaseCommit::Run(&cluster.node(0), tx, actions, nullptr,
                       [&](Status s) { w2_status = s; });
