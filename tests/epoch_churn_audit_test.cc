@@ -1,10 +1,12 @@
 // Epoch re-formation under site churn, audited end to end. The shape is
-// the sim_churn_durable benchmark's (a nine-node grid with durable
-// storage, per-node availability 0.95, an open loop of Poisson clients)
-// with the epoch daemons on and a short horizon. Each case is a seed that
-// once broke linearizability: a write committed between an epoch check's
-// unlocked poll and its prepare, so the new epoch's stale marking missed
-// it and a later read or write went behind the write's back.
+// the sim_churn_durable benchmark's (nine nodes with durable storage,
+// per-node availability 0.95, an open loop of Poisson clients) with the
+// epoch daemons on. Two short-horizon grid cases are seeds that once broke
+// linearizability: a write committed between an epoch check's unlocked
+// poll and its prepare, so the new epoch's stale marking missed it and a
+// later read or write went behind the write's back. The long-horizon
+// sweep runs the benchmark's 200 000 ms round on fixed seeds, in group
+// and sharded shape, over grid and majority coteries.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -29,7 +32,8 @@ using analysis::ClientOp;
 constexpr uint32_t kNodes = 9;
 constexpr uint32_t kObjects = 16;
 constexpr size_t kObjectBytes = 32;
-constexpr rt::Time kHorizon = 20000;
+constexpr rt::Time kShortHorizon = 20000;
+constexpr rt::Time kBenchmarkHorizon = 200000;
 constexpr rt::Time kQuiesceBudget = 40000;
 
 /// The benchmark's seed mixer (SplitMix64's finalizer).
@@ -40,14 +44,20 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Runs one round from sub-seed `seed` and returns every correctness
-/// failure it shows (empty: the round is correct).
-std::vector<std::string> RunRound(uint64_t seed, bool sharded) {
+/// The benchmark's sub-seed of round `round` of `--seed seed`.
+uint64_t SubSeed(uint64_t seed, uint64_t round) {
+  return Mix(seed * 1000003 + round);
+}
+
+/// Runs one round of `horizon` sim ms from sub-seed `seed` and returns
+/// every correctness failure it shows (empty: the round is correct).
+std::vector<std::string> RunRound(uint64_t seed, bool sharded,
+                                  CoterieKind coterie, rt::Time horizon) {
   std::vector<std::string> errors;
   ClusterOptions o;
   o.num_nodes = kNodes;
   o.num_objects = kObjects;
-  o.coterie = CoterieKind::kGrid;
+  o.coterie = coterie;
   o.sharded = sharded;
   o.replication_factor = kNodes;
   o.seed = Mix(seed ^ 0x434c5553544552ULL);
@@ -85,7 +95,7 @@ std::vector<std::string> RunRound(uint64_t seed, bool sharded) {
   {
     harness::FaultInjector injector(cluster.get(), fopts);
     harness::WorkloadDriver driver(cluster.get(), wopts);
-    cluster->RunFor(kHorizon);
+    cluster->RunFor(horizon);
     driver.Stop();
     injector.Stop();
   }
@@ -126,6 +136,9 @@ std::vector<std::string> RunRound(uint64_t seed, bool sharded) {
   if (!verdict.ok) {
     errors.push_back("linearizability audit: " + verdict.explanation);
   }
+  if (Status s = cluster->CheckHistory(); !s.ok()) {
+    errors.push_back("cluster history: " + s.ToString());
+  }
   // The round must actually re-form epochs, or it tests nothing.
   storage::EpochNumber max_epoch = 0;
   for (NodeId n = 0; n < kNodes; ++n) {
@@ -144,14 +157,43 @@ std::string Join(const std::vector<std::string>& errors) {
 }
 
 TEST(EpochChurnAudit, GroupGridSeedStaysLinearizable) {
-  std::vector<std::string> errors = RunRound(Mix(7 * 1000003 + 8), false);
+  std::vector<std::string> errors =
+      RunRound(SubSeed(7, 8), false, CoterieKind::kGrid, kShortHorizon);
   EXPECT_TRUE(errors.empty()) << Join(errors);
 }
 
 TEST(EpochChurnAudit, ShardedGridSeedStaysLinearizable) {
-  std::vector<std::string> errors = RunRound(Mix(6 * 1000003 + 1), true);
+  std::vector<std::string> errors =
+      RunRound(SubSeed(6, 1), true, CoterieKind::kGrid, kShortHorizon);
   EXPECT_TRUE(errors.empty()) << Join(errors);
 }
+
+/// (benchmark seed, sharded, coterie). Round 0 of seeds 1-4, fixed
+/// before the sweep was first run.
+using SweepCase = std::tuple<uint64_t, bool, CoterieKind>;
+
+class LongHorizonSweep : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(LongHorizonSweep, StaysLinearizable) {
+  const auto [seed, sharded, coterie] = GetParam();
+  std::vector<std::string> errors =
+      RunRound(SubSeed(seed, 0), sharded, coterie, kBenchmarkHorizon);
+  EXPECT_TRUE(errors.empty()) << Join(errors);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EpochChurnAudit, LongHorizonSweep,
+    ::testing::Combine(::testing::Values(uint64_t{1}, uint64_t{2},
+                                         uint64_t{3}, uint64_t{4}),
+                       ::testing::Bool(),
+                       ::testing::Values(CoterieKind::kGrid,
+                                         CoterieKind::kMajority)),
+    [](const ::testing::TestParamInfo<SweepCase>& info) {
+      return std::string(std::get<1>(info.param) ? "Sharded" : "Group") +
+             (std::get<2>(info.param) == CoterieKind::kGrid ? "Grid"
+                                                            : "Majority") +
+             "Seed" + std::to_string(std::get<0>(info.param));
+    });
 
 }  // namespace
 }  // namespace dcp::protocol
