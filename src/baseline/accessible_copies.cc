@@ -223,7 +223,7 @@ class ViewChangeOp : public std::enable_shared_from_this<ViewChangeOp> {
       actions[member] = std::move(act);
     }
     auto self = shared_from_this();
-    protocol::TwoPhaseCommit::Run(node_, owner_, std::move(actions), nullptr,
+    protocol::TwoPhaseCommit::Run(node_, owner_, std::move(actions),
                                   [self](Status s) { self->done_(s); });
   }
 

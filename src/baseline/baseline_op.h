@@ -38,7 +38,7 @@ class BaselineOp : public std::enable_shared_from_this<BaselineOp> {
               protocol::Version new_version) {
     auto self = shared_from_this();
     protocol::TwoPhaseCommit::Run(
-        node_, owner_, std::move(actions), nullptr,
+        node_, owner_, std::move(actions),
         [self, new_version](Status s) {
           if (s.ok()) {
             self->wdone_(protocol::WriteOutcome{new_version});

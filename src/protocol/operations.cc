@@ -464,7 +464,7 @@ class WriteOp : public QuorumOp {
 
     auto self = Self<WriteOp>();
     TwoPhaseCommit::Run(
-        node_, owner_, std::move(actions), nullptr,
+        node_, owner_, std::move(actions),
         [self, versions](Status s) {
           if (s.ok()) {
             self->Complete(TxnWriteOutcome{versions});
@@ -713,7 +713,7 @@ class EpochCheckOp : public std::enable_shared_from_this<EpochCheckOp> {
     }
     auto self = shared_from_this();
     TwoPhaseCommit::Run(
-        node_, owner_, std::move(actions), nullptr,
+        node_, owner_, std::move(actions),
         [self](Status s) {
           // A member's state moved between the poll and its prepare (a
           // write committed in the gap): poll again at once, once, rather

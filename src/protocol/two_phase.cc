@@ -21,7 +21,7 @@ uint64_t TxSpanId(const LockOwner& tx) {
 
 void TwoPhaseCommit::Run(
     ReplicaNode* coordinator, const LockOwner& tx,
-    std::map<NodeId, StagedAction> actions, DecisionHook on_decide, Done done,
+    std::map<NodeId, StagedAction> actions, Done done,
     std::map<NodeId, std::vector<ObjectStateTuple>> expect) {
   NodeSet participants;
   for (const auto& [node, action] : actions) participants.Insert(node);
@@ -40,7 +40,6 @@ void TwoPhaseCommit::Run(
     ReplicaNode* coordinator;
     LockOwner tx;
     NodeSet participants;
-    DecisionHook on_decide;
     Done done;
     uint32_t expected = 0;
     uint32_t received = 0;
@@ -51,13 +50,10 @@ void TwoPhaseCommit::Run(
   state->coordinator = coordinator;
   state->tx = tx;
   state->participants = participants;
-  state->on_decide = std::move(on_decide);
   state->done = std::move(done);
   state->expected = participants.Size();
 
   auto run_phase2 = [state](TxOutcome outcome) {
-    if (state->on_decide) state->on_decide(outcome);
-
     rt::Runtime* simulator = state->coordinator->runtime();
     const bool committed = outcome == TxOutcome::kCommitted;
     const uint64_t span_id = TxSpanId(state->tx);

@@ -27,9 +27,6 @@ namespace dcp::protocol {
 class TwoPhaseCommit {
  public:
   using Done = std::function<void(Status)>;
-  /// Observes the decision at the commit point — before phase 2 fan-out —
-  /// which is when a write becomes durable for history-recording purposes.
-  using DecisionHook = std::function<void(TxOutcome)>;
 
   /// Runs one transaction from `coordinator`. Participants are the keys
   /// of `actions`. An epoch install's prepare acquires its exclusive
@@ -43,8 +40,7 @@ class TwoPhaseCommit {
   /// find (PrepareRequest::expect); epoch installs set it.
   static void Run(
       ReplicaNode* coordinator, const LockOwner& tx,
-      std::map<NodeId, StagedAction> actions, DecisionHook on_decide,
-      Done done,
+      std::map<NodeId, StagedAction> actions, Done done,
       std::map<NodeId, std::vector<ObjectStateTuple>> expect = {});
 };
 

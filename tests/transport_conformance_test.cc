@@ -6,16 +6,15 @@
 // backend-specific scheduling, not protocol behavior).
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "harness/socket_cluster.h"
 #include "protocol/cluster.h"
+#include "protocol/deployment.h"
 #include "runtime/transport.h"
 #include "storage/versioned_object.h"
 
@@ -53,25 +52,28 @@ constexpr uint32_t kNodes = 3;
 const std::vector<uint8_t> kInitial = {0, 0, 0, 0};
 
 /// The scripted exchange: total write at 0, read at 1, partial write at
-/// 2, read-back at 0. `quiesce` runs between steps so in-flight unlock
-/// and propagation traffic drains before the next operation starts —
-/// otherwise cross-operation interleaving would differ by backend.
-template <typename ClusterT, typename QuiesceFn>
-void RunScript(ClusterT& cluster, QuiesceFn quiesce) {
+/// 2, read-back at 0. Each step is followed by RunFor(kQuiesce), so
+/// in-flight unlock and propagation traffic drains before the next
+/// operation starts — otherwise cross-operation interleaving would differ
+/// by backend. One function for both backends: the blocking calls and
+/// RunFor are protocol::Deployment's.
+constexpr rt::Time kQuiesce = 500;
+
+void RunScript(protocol::Deployment& cluster) {
   auto w1 = cluster.WriteSync(0, 0, Update::Total({1, 2, 3, 4}));
   ASSERT_TRUE(w1.ok()) << w1.status().ToString();
-  quiesce();
+  cluster.RunFor(kQuiesce);
   auto r1 = cluster.ReadSync(1);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_EQ(r1->data, (std::vector<uint8_t>{1, 2, 3, 4}));
-  quiesce();
+  cluster.RunFor(kQuiesce);
   auto w2 = cluster.WriteSync(2, 0, Update::Partial(1, {9}));
   ASSERT_TRUE(w2.ok()) << w2.status().ToString();
-  quiesce();
+  cluster.RunFor(kQuiesce);
   auto r2 = cluster.ReadSync(0);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_EQ(r2->data, (std::vector<uint8_t>{1, 9, 3, 4}));
-  quiesce();
+  cluster.RunFor(kQuiesce);
 }
 
 std::map<NodeId, std::vector<std::string>> RunOnSimulator() {
@@ -82,7 +84,7 @@ std::map<NodeId, std::vector<std::string>> RunOnSimulator() {
   options.initial_value = kInitial;
   protocol::Cluster cluster(options);
   cluster.network().set_send_tap(recorder.Tap());
-  RunScript(cluster, [&cluster] { cluster.RunFor(500); });
+  RunScript(cluster);
   return recorder.Take();
 }
 
@@ -96,9 +98,7 @@ std::map<NodeId, std::vector<std::string>> RunOnSockets() {
   cluster.transport().set_send_tap(recorder.Tap());
   Status started = cluster.Start();
   EXPECT_TRUE(started.ok()) << started.ToString();
-  RunScript(cluster, [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  });
+  RunScript(cluster);
   cluster.Stop();
   return recorder.Take();
 }

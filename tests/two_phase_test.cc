@@ -51,14 +51,11 @@ TEST(TwoPhase, CommitAppliesEverywhere) {
   LockAt(cluster, tx, NodeSet({1, 2, 3}));
 
   Status result = Status::Internal("unset");
-  TxOutcome decided = TxOutcome::kUnknown;
   TwoPhaseCommit::Run(&cluster.node(0), tx, actions,
-                      [&](TxOutcome o) { decided = o; },
                       [&](Status s) { result = s; });
   cluster.simulator().Run();
 
   EXPECT_TRUE(result.ok()) << result.ToString();
-  EXPECT_EQ(decided, TxOutcome::kCommitted);
   for (NodeId n = 1; n <= 3; ++n) {
     EXPECT_TRUE(cluster.node(n).store().stale());
     EXPECT_EQ(cluster.node(n).store().desired_version(), 7u);
@@ -77,14 +74,12 @@ TEST(TwoPhase, PrepareFailureAbortsEverywhere) {
   LockAt(cluster, tx, NodeSet({1, 2}));
 
   Status result;
-  TxOutcome decided = TxOutcome::kUnknown;
   TwoPhaseCommit::Run(&cluster.node(0), tx, actions,
-                      [&](TxOutcome o) { decided = o; },
                       [&](Status s) { result = s; });
   cluster.simulator().Run();
 
   EXPECT_TRUE(result.IsAborted()) << result.ToString();
-  EXPECT_EQ(decided, TxOutcome::kAborted);
+  EXPECT_EQ(cluster.node(0).LookupOutcome(tx), TxOutcome::kAborted);
   for (NodeId n = 1; n <= 2; ++n) {
     EXPECT_FALSE(cluster.node(n).store().stale());
     EXPECT_FALSE(cluster.node(n).store().IsLocked());
@@ -110,7 +105,7 @@ TEST(TwoPhase, ConflictingPreparesAbort) {
   for (NodeId n = 1; n <= 2; ++n) actions[n] = MarkStaleAction(7);
   LockAt(cluster, tx, NodeSet({1}));  // The blocker holds node 2.
   Status result;
-  TwoPhaseCommit::Run(&cluster.node(0), tx, actions, nullptr,
+  TwoPhaseCommit::Run(&cluster.node(0), tx, actions,
                       [&](Status s) { result = s; });
   // Run bounded: the blocker's termination protocol polls forever.
   cluster.RunFor(2000);
@@ -130,7 +125,7 @@ TEST(TwoPhase, ParticipantCrashAfterPrepareRecoversAndLearnsOutcome) {
   // arrives (t=3).
   cluster.simulator().Schedule(2.5, [&] { cluster.Crash(2); });
   Status result;
-  TwoPhaseCommit::Run(&cluster.node(0), tx, actions, nullptr,
+  TwoPhaseCommit::Run(&cluster.node(0), tx, actions,
                       [&](Status s) { result = s; });
   cluster.RunFor(500);
   EXPECT_TRUE(result.ok()) << result.ToString();  // Commit was decided.
@@ -156,7 +151,7 @@ TEST(TwoPhase, CoordinatorCrashBeforeDecisionPresumesAbort) {
   // return at ~2 time units).
   cluster.simulator().Schedule(1.6, [&] { cluster.Crash(0); });
   bool fired = false;
-  TwoPhaseCommit::Run(&cluster.node(0), tx, actions, nullptr,
+  TwoPhaseCommit::Run(&cluster.node(0), tx, actions,
                       [&](Status) { fired = true; });
   cluster.RunFor(100);
   EXPECT_FALSE(fired);  // The dead coordinator never resolves.
@@ -185,19 +180,25 @@ TEST(TwoPhase, CoordinatorCrashAfterDecisionCommitsViaTermination) {
   for (NodeId n = 1; n <= 3; ++n) actions[n] = MarkStaleAction(9);
   LockAt(cluster, tx, NodeSet({1, 2, 3}));
 
-  TxOutcome decided = TxOutcome::kUnknown;
-  TwoPhaseCommit::Run(&cluster.node(0), tx, actions,
-                      [&](TxOutcome o) {
-                        decided = o;
-                        // Crash the instant the decision is logged —
-                        // before any commit message is delivered.
-                        cluster.Crash(0);
-                      },
-                      [&](Status) {});
+  // Prepares land at t=1 and their acks decide at t=2. Cutting the
+  // coordinator's outbound links in between loses its commits (sent at
+  // t=2, due at t=3); it crashes at t=2.5, after logging the decision
+  // and before any participant has it.
+  cluster.simulator().Schedule(1.5, [&] {
+    for (NodeId n = 1; n <= 3; ++n) cluster.CutLink(0, n);
+  });
+  cluster.simulator().Schedule(2.5, [&] { cluster.Crash(0); });
+  TwoPhaseCommit::Run(&cluster.node(0), tx, actions, [&](Status) {});
+  cluster.RunFor(2.5);
+  EXPECT_EQ(cluster.node(0).LookupOutcome(tx), TxOutcome::kCommitted);
+  for (NodeId n = 1; n <= 3; ++n) {
+    EXPECT_EQ(cluster.node(n).LookupOutcome(tx), TxOutcome::kUnknown)
+        << "node " << n << " has the decision before the crash";
+  }
   cluster.RunFor(200);
-  EXPECT_EQ(decided, TxOutcome::kCommitted);
   EXPECT_FALSE(cluster.Quiescent());  // Blocked on the dead coordinator.
 
+  for (NodeId n = 1; n <= 3; ++n) cluster.RestoreLink(0, n);
   cluster.Recover(0);
   cluster.RunFor(1000);
   EXPECT_TRUE(cluster.Quiescent());
@@ -219,7 +220,7 @@ TEST(TwoPhase, PeersResolveWhenCoordinatorStaysDown) {
   // wire) still reach nodes 1 and 2, but node 3 misses its copy. Node 3
   // recovers while the coordinator stays down, so it must learn the
   // outcome from its PEERS.
-  TwoPhaseCommit::Run(&cluster.node(0), tx, actions, nullptr,
+  TwoPhaseCommit::Run(&cluster.node(0), tx, actions,
                       [&](Status) {});
   cluster.simulator().Schedule(2.5, [&] {
     cluster.Crash(3);
@@ -264,7 +265,7 @@ TEST(TwoPhase, LateCommitAfterPropagationCatchUpIsSubsumed) {
   }
   LockAt(cluster, tx, NodeSet({1, 2, 3}));
   Status w2_status = Status::Internal("unset");
-  TwoPhaseCommit::Run(&cluster.node(0), tx, actions, nullptr,
+  TwoPhaseCommit::Run(&cluster.node(0), tx, actions,
                       [&](Status s) { w2_status = s; });
   cluster.simulator().Schedule(2.5, [&] { cluster.Crash(3); });
   cluster.RunFor(300);
@@ -302,7 +303,7 @@ TEST(TwoPhase, EmptyParticipantSetCommitsTrivially) {
   Cluster cluster(Options());
   LockOwner tx{0, cluster.node(0).NextOperationId()};
   Status result = Status::Internal("unset");
-  TwoPhaseCommit::Run(&cluster.node(0), tx, {}, nullptr,
+  TwoPhaseCommit::Run(&cluster.node(0), tx, {},
                       [&](Status s) { result = s; });
   cluster.simulator().Run();
   EXPECT_TRUE(result.ok());
