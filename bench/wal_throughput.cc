@@ -35,21 +35,20 @@
 #include "sim/simulator.h"
 #include "storage/versioned_object.h"
 #include "store/durable_store.h"
-#include "util/node_set.h"
+#include "util/status.h"
 
 namespace {
 
 // Wall time is the measurement here (records/sec is informational; the
 // gated rows are sim-time).  // dcp-lint: allow(wall-clock)
 using Clock = std::chrono::steady_clock;
-using dcp::NodeSet;
+using dcp::Status;
 using dcp::sim::Simulator;
 using dcp::storage::Update;
 using dcp::storage::VersionedObject;
 using dcp::store::ByteReader;
 using dcp::store::DurabilityOptions;
 using dcp::store::DurableStore;
-using dcp::store::RecoveredState;
 namespace redo = dcp::protocol::redo;
 
 double Seconds(Clock::time_point t0, Clock::time_point t1) {
@@ -68,15 +67,45 @@ DurabilityOptions StoreOptions(uint64_t checkpoint_threshold) {
 // Effectively disables checkpointing for rows that only measure the log.
 constexpr uint64_t kNoCheckpoint = uint64_t{1} << 40;
 
-RecoveredState BirthState(uint32_t num_objects) {
-  RecoveredState s;
-  s.epoch_list = NodeSet::Universe(5);
-  for (uint32_t i = 0; i < num_objects; ++i) {
-    RecoveredState::ObjectState os;
-    os.object = VersionedObject(std::vector<uint8_t>(64, 0));
-    s.objects.emplace(i, std::move(os));
+/// `n` objects at their birth value.
+std::map<uint32_t, VersionedObject> Birth(uint32_t n) {
+  std::map<uint32_t, VersionedObject> objects;
+  for (uint32_t i = 0; i < n; ++i) {
+    objects.emplace(i, VersionedObject(std::vector<uint8_t>(64, 0)));
   }
-  return s;
+  return objects;
+}
+
+/// Gives the object records their meaning over `objects`, as a node's
+/// Apply does; other records have none here.
+void ApplyTo(std::map<uint32_t, VersionedObject>& objects,
+             redo::Record record) {
+  if (auto* r = std::get_if<redo::Update>(&record)) {
+    VersionedObject& object = objects.at(r->object);
+    if (object.version() + 1 == r->produced) {
+      object.Apply(std::move(r->update));
+    }
+  } else if (auto* r = std::get_if<redo::Snapshot>(&record)) {
+    VersionedObject& object = objects.at(r->object);
+    if (object.version() < r->version) {
+      object.InstallSnapshot(r->version, Update::Total(std::move(r->data)));
+    }
+  }
+}
+
+/// Recovers `store` into `objects`, which start at birth: the checkpoint's
+/// records, then the log's. False when the store refuses its checkpoint.
+bool RecoverInto(DurableStore& store,
+                 std::map<uint32_t, VersionedObject>& objects) {
+  auto apply = [&objects](redo::Record r) { ApplyTo(objects, std::move(r)); };
+  Status s = store.Recover(
+      [&apply](ByteReader& body) { return redo::ReadCheckpoint(body, apply); },
+      [&apply](uint8_t type, ByteReader& payload) {
+        if (std::optional<redo::Record> r = redo::Decode(type, payload)) {
+          apply(std::move(*r));
+        }
+      });
+  return s.ok();
 }
 
 std::vector<uint8_t> Payload(uint64_t i) {
@@ -187,26 +216,11 @@ int main(int argc, char** argv) {
     }
     store.Crash();
     // Replay decodes each record and applies its update, as a node does.
-    std::map<uint32_t, VersionedObject> objects;
+    std::map<uint32_t, VersionedObject> objects = Birth(kObjects);
     const Clock::time_point t0 = Clock::now();
-    store.Recover(
-        BirthState(kObjects),
-        [&objects](RecoveredState image) {
-          for (auto& [id, os] : image.objects) {
-            objects[id] = std::move(os.object);
-          }
-        },
-        [&objects](uint8_t type, ByteReader& payload) {
-          std::optional<redo::Record> record = redo::Decode(type, payload);
-          auto* r = record ? std::get_if<redo::Update>(&*record) : nullptr;
-          if (r == nullptr) return;
-          VersionedObject& object = objects.at(r->object);
-          if (object.version() + 1 == r->produced) {
-            object.Apply(std::move(r->update));
-          }
-        });
+    const bool recovered = RecoverInto(store, objects);
     double wall = Seconds(t0, Clock::now());
-    if (objects.at(0).version() != version[0]) {
+    if (!recovered || objects.at(0).version() != version[0]) {
       std::fprintf(stderr, "wal_throughput: replay lost records\n");
       return 1;
     }
@@ -224,14 +238,18 @@ int main(int argc, char** argv) {
   {
     Simulator sim;
     DurableStore store(&sim, StoreOptions(/*checkpoint_threshold=*/8192));
-    RecoveredState live = BirthState(1);
-    store.set_snapshot_source([&] { return live; });
+    std::map<uint32_t, VersionedObject> live = Birth(1);
+    store.set_checkpoint_source([&live](dcp::store::ByteWriter& w) {
+      const VersionedObject& object = live.at(0);
+      redo::CheckpointWriter(w).Add(
+          redo::Snapshot{0, object.version(), object.data()});
+    });
     uint64_t issued = 0;
     std::function<void()> next = [&] {
       if (issued >= kCheckpointRecords) return;
       ++issued;
       Update u = Update::Total(Payload(issued));
-      live.objects.at(0).object.Apply(u);
+      live.at(0).Apply(u);
       redo::Append(store, redo::Update{0, issued, u});
       // A small think-time gap between commits leaves the tail empty at
       // the sync hook, letting the checkpoint trigger mid-run (a chain
@@ -251,6 +269,18 @@ int main(int argc, char** argv) {
                 "truncated each\n",
                 static_cast<unsigned long long>(checkpoints),
                 checkpoints ? static_cast<double>(truncated) / checkpoints : 0);
+    // The cycle ends in a crash: the last checkpoint plus the log after
+    // it must bring back the live object.
+    store.Crash();
+    std::map<uint32_t, VersionedObject> recovered = Birth(1);
+    if (!RecoverInto(store, recovered) ||
+        !store.last_recovery().from_checkpoint ||
+        recovered.at(0).version() != live.at(0).version() ||
+        recovered.at(0).data() != live.at(0).data()) {
+      std::fprintf(stderr, "wal_throughput: checkpoint recovery differs "
+                           "from the live object\n");
+      return 1;
+    }
   }
 
   std::string path = dcp::bench::MetricsJsonPathFromArgs(argc, argv);

@@ -2,6 +2,7 @@
 #define DCP_PROTOCOL_REDO_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -13,10 +14,10 @@
 #include "store/codec.h"
 #include "store/durable_store.h"
 
-/// The redo records of a replica node's write-ahead log: each is one
-/// change to the node's persistent state. ReplicaNode::Apply gives them
-/// their meaning, live and on replay (DESIGN.md section 8); the store
-/// holds each as a type byte and the record's field list.
+/// The redo records of a replica node's write-ahead log and checkpoints:
+/// each is one change to the node's persistent state. ReplicaNode::Apply
+/// gives them their meaning, live and on replay (DESIGN.md section 8); the
+/// store holds each as a type byte and the record's field list.
 namespace dcp::protocol::redo {
 
 /// The update that produced version `produced` of `object`.
@@ -94,7 +95,7 @@ using Record =
 inline constexpr uint64_t kOpIdStride = 256;
 
 // Field lists (store/codec.h). The staged action nests behind its byte
-// length: the same blob the checkpoint holds.
+// length, as in the wire's PrepareRequest.
 void Fields(auto& io, store::Of<Update> auto& r) {
   io(r.object, r.produced, r.update);
 }
@@ -132,20 +133,79 @@ void Append(store::DurableStore& store, const R& record) {
   store.Append(kType<R>, w.buffer());
 }
 
-/// The record behind `type` and its payload; nothing for an unknown type,
-/// a malformed payload or bytes left over after the record.
-inline std::optional<Record> Decode(uint8_t type, store::ByteReader& r) {
+/// The record of `type` at the front of `r`; nothing for an unknown type
+/// or a malformed payload.
+inline std::optional<Record> DecodeNext(uint8_t type, store::ByteReader& r) {
   std::optional<Record> out;
   [&]<typename... Rs>(std::variant<Rs...>*) {
     uint8_t at = 0;
     auto decode = [&]<typename R>(std::type_identity<R>) {
       if (++at != type) return;
       R record;
-      if (store::Get{r}(record) && r.remaining() == 0) out = std::move(record);
+      if (store::Get{r}(record)) out = std::move(record);
     };
     (decode(std::type_identity<Rs>{}), ...);
   }(static_cast<Record*>(nullptr));
   return out;
+}
+
+/// The record behind `type` and its payload; nothing for an unknown type,
+/// a malformed payload or bytes left over after the record.
+inline std::optional<Record> Decode(uint8_t type, store::ByteReader& r) {
+  std::optional<Record> out = DecodeNext(type, r);
+  if (r.remaining() != 0) return std::nullopt;
+  return out;
+}
+
+// --- checkpoints -----------------------------------------------------------
+//
+// A checkpoint body is a run of records that rebuilds a node from its
+// birth state through ReplicaNode::Apply, as the log does after it. The
+// records are grouped in runs of one type, each a [type u8][count u32]
+// header followed by the records' field lists, so a record costs only its
+// fields.
+
+/// Appends records to a checkpoint body, opening a run at each change of
+/// record type.
+class CheckpointWriter {
+ public:
+  explicit CheckpointWriter(store::ByteWriter& w) : w_(w) {}
+
+  template <typename R>
+  void Add(const R& record) {
+    static_assert(kType<R> != 0, "not a redo record");
+    if (kType<R> != type_) {
+      type_ = kType<R>;
+      count_ = 0;
+      w_.U8(type_);
+      count_at_ = w_.size();
+      w_.U32(0);
+    }
+    store::Put{w_}(record);
+    w_.PatchU32(count_at_, ++count_);
+  }
+
+ private:
+  store::ByteWriter& w_;
+  uint8_t type_ = 0;
+  uint32_t count_ = 0;
+  size_t count_at_ = 0;
+};
+
+/// Hands each record of checkpoint body `r` to `apply`, in order. False
+/// when the body is malformed; the records before the fault were handed
+/// out.
+inline bool ReadCheckpoint(store::ByteReader& r,
+                           const std::function<void(Record)>& apply) {
+  while (r.ok() && r.remaining() > 0) {
+    const uint8_t type = r.U8();
+    for (uint32_t n = r.U32(); n > 0 && r.ok(); --n) {
+      std::optional<Record> record = DecodeNext(type, r);
+      if (!record) return false;
+      apply(std::move(*record));
+    }
+  }
+  return r.ok();
 }
 
 }  // namespace dcp::protocol::redo

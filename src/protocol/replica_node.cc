@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 #include <type_traits>
 #include <variant>
 
-#include "protocol/action_codec.h"
 #include "util/logging.h"
 
 namespace dcp::protocol {
@@ -44,7 +44,8 @@ ReplicaNode::ReplicaNode(rt::Transport* transport, NodeId self, NodeSet pool,
   if (options_.durability.enabled) {
     durable_ =
         std::make_unique<store::DurableStore>(runtime(), options_.durability);
-    durable_->set_snapshot_source([this] { return CheckpointState(); });
+    durable_->set_checkpoint_source(
+        [this](store::ByteWriter& w) { WriteCheckpoint(w); });
   }
 
   obs::MetricsRegistry& m = runtime()->metrics();
@@ -170,102 +171,69 @@ ObjectStateTuple PolledState(ObjectId id, const storage::ReplicaStore& store) {
                           store.stale()};
 }
 
-// The durable image keeps the group-wide lineage in its legacy epoch
-// fields and each scoped lineage in its per-object section, so a group
-// deployment's checkpoint stays byte-identical to the pre-sharding format.
-void PutEpoch(store::RecoveredState& st, const LineageScope& scope,
-              const storage::EpochRecord& record) {
-  if (scope) {
-    st.object_epochs[*scope] = record;
-  } else {
-    st.epoch_number = record.number;
-    st.epoch_list = record.list;
-  }
-}
-
-std::optional<storage::EpochRecord> GetEpoch(const store::RecoveredState& st,
-                                             const LineageScope& scope) {
-  if (!scope) return storage::EpochRecord{st.epoch_number, st.epoch_list};
-  auto it = st.object_epochs.find(*scope);
-  if (it == st.object_epochs.end()) return std::nullopt;
-  return it->second;
-}
-
 }  // namespace
 
-store::RecoveredState ReplicaNode::InitialState() const {
-  store::RecoveredState st;
-  st.epoch_list = all_nodes_;
+void ReplicaNode::WriteCheckpoint(store::ByteWriter& w) const {
+  // One record per piece of persistent state; Apply over the birth state
+  // rebuilds it (an epoch never goes back, a snapshot installs only when
+  // newer). Birth is not stale, so a current replica needs no MarkStale.
+  redo::CheckpointWriter out(w);
   for (const auto& [scope, lineage] : lineages_) {
-    PutEpoch(st, scope, storage::EpochRecord{0, lineage.members});
-  }
-  for (ObjectId id : HostedObjects()) {
-    store::RecoveredState::ObjectState os;
-    os.object = storage::VersionedObject(initial_value_);
-    st.objects.emplace(id, std::move(os));
-  }
-  return st;
-}
-
-store::RecoveredState ReplicaNode::CheckpointState() const {
-  store::RecoveredState st;
-  st.epoch_list = all_nodes_;
-  for (const auto& [scope, lineage] : lineages_) {
-    PutEpoch(st, scope, *lineage.epoch);
+    const storage::EpochRecord& epoch = *lineage.epoch;
+    if (scope) {
+      out.Add(redo::ObjectEpochInstall{*scope, epoch.number, epoch.list});
+    } else {
+      out.Add(redo::EpochInstall{epoch.number, epoch.list});
+    }
   }
   for (const auto& [id, replica] : objects_) {
-    store::RecoveredState::ObjectState os;
-    os.object = replica.object();
-    os.stale = replica.stale();
-    os.desired_version = replica.desired_version();
-    st.objects.emplace(id, std::move(os));
+    out.Add(redo::Snapshot{id, replica.version(), replica.object().data()});
   }
-  for (const auto& [key, staged] : staged_) {
-    st.staged[key] = store::RecoveredState::StagedEntry{
-        staged.owner, staged.participants, EncodeStagedAction(staged.action)};
+  for (const auto& [id, replica] : objects_) {
+    if (replica.stale()) {
+      out.Add(redo::MarkStale{id, replica.desired_version()});
+    }
   }
+  for (const auto& [key, staged] : staged_) out.Add(staged);
   for (const auto& [key, outcome] : outcomes_) {
-    st.outcomes[key] = static_cast<uint8_t>(outcome);
+    out.Add(redo::Decide{{key.first, key.second}, outcome});
   }
-  st.pending_propagation = pending_propagation_;
-  st.next_operation_id = next_operation_id_;
-  return st;
+  for (const auto& [id, targets] : pending_propagation_) {
+    if (!targets.Empty()) out.Add(redo::PropAdd{id, targets});
+  }
+  out.Add(redo::OpWatermark{next_operation_id_});
 }
 
 void ReplicaNode::RestoreFromDisk() {
-  auto restore_image = [this](store::RecoveredState image) {
-    for (auto& [scope, lineage] : lineages_) {
-      if (std::optional<storage::EpochRecord> e = GetEpoch(image, scope)) {
-        *lineage.epoch = std::move(*e);
-      }
-    }
-    for (auto& [id, os] : image.objects) {
-      objects_.at(id).RestorePersistent(std::move(os.object), os.stale,
-                                        os.desired_version);
-    }
-    staged_.clear();
-    for (auto& [key, entry] : image.staged) {
-      redo::Stage& staged = staged_[key];
-      staged.owner = entry.owner;
-      staged.participants = std::move(entry.participants);
-      bool ok = DecodeStagedAction(entry.action, &staged.action);
-      assert(ok && "staged-action blob survived CRC but failed to decode");
-      (void)ok;
-    }
-    outcomes_.clear();
-    for (const auto& [key, outcome] : image.outcomes) {
-      outcomes_[key] = static_cast<TxOutcome>(outcome);
-    }
-    pending_propagation_ = std::move(image.pending_propagation);
-    opid_watermark_ = image.next_operation_id;
-  };
-  durable_->Recover(InitialState(), restore_image,
-                    [this](uint8_t type, store::ByteReader& payload) {
-                      if (std::optional<redo::Record> record =
-                              redo::Decode(type, payload)) {
-                        Apply(std::move(*record));
-                      }
-                    });
+  // Birth, as the constructor built it; the watermark is birth's next id.
+  for (auto& [scope, lineage] : lineages_) {
+    *lineage.epoch = storage::EpochRecord{0, lineage.members};
+  }
+  for (auto& [id, replica] : objects_) {
+    replica.RestorePersistent(storage::VersionedObject(initial_value_),
+                              /*stale=*/false, /*desired_version=*/0);
+  }
+  staged_.clear();
+  outcomes_.clear();
+  pending_propagation_.clear();
+  opid_watermark_ = 1;
+
+  auto apply = [this](redo::Record record) { Apply(std::move(record)); };
+  Status s = durable_->Recover(
+      [&apply](store::ByteReader& body) {
+        return redo::ReadCheckpoint(body, apply);
+      },
+      [&apply](uint8_t type, store::ByteReader& payload) {
+        if (std::optional<redo::Record> record = redo::Decode(type, payload)) {
+          apply(std::move(*record));
+        }
+      });
+  if (!s.ok()) {
+    // The log prefix the checkpoint covered is gone: the node cannot
+    // come back with what it acknowledged.
+    DCP_LOG(kError) << "node " << self_ << " cannot recover: " << s.ToString();
+    std::abort();
+  }
   // A duty set the live path emptied stays behind as an empty entry; a
   // recovered node keeps none.
   std::erase_if(pending_propagation_,

@@ -216,8 +216,15 @@ class ReplicaNode : public net::RpcService {
   /// The durable engine, or nullptr with durability off.
   store::DurableStore* durable_store() { return durable_.get(); }
 
-  /// This node's persistent state, as a checkpoint captures it.
-  store::RecoveredState CheckpointState() const;
+  /// Writes this node's persistent state as a checkpoint body: the redo
+  /// records that rebuild it from the node's birth state.
+  void WriteCheckpoint(store::ByteWriter& w) const;
+
+  /// The prepared 2PC actions and the outcomes recorded here, keyed by
+  /// (coordinator, operation id).
+  using TxKey = std::pair<NodeId, uint64_t>;
+  const std::map<TxKey, redo::Stage>& staged() const { return staged_; }
+  const std::map<TxKey, TxOutcome>& outcomes() const { return outcomes_; }
 
   /// True iff every lock held in any hosted store is listed in its
   /// owner's lock record. Holds at all times; the invariant checkers
@@ -239,7 +246,6 @@ class ReplicaNode : public net::RpcService {
                           net::Responder respond) override;
 
  private:
-  using TxKey = std::pair<NodeId, uint64_t>;
   static TxKey KeyOf(const LockOwner& o) {
     return {o.coordinator, o.operation_id};
   }
@@ -338,9 +344,9 @@ class ReplicaNode : public net::RpcService {
   /// Marks one propagation duty fulfilled (durably, when enabled).
   void FinishPropagation(ObjectId object, NodeId target);
 
-  // Durability plumbing (all no-ops / unused with durability off).
-  store::RecoveredState InitialState() const;   ///< Birth state.
-  void RestoreFromDisk();  ///< Checkpoint image, then records via Apply.
+  /// Rebuilds the persistent state from the disk: back to birth, then
+  /// the checkpoint's records and the log's through Apply.
+  void RestoreFromDisk();
 
   /// Registry handles for this node's protocol counters ("node.<id>.*"),
   /// cached at construction so increments never do a by-name lookup.
@@ -369,8 +375,8 @@ class ReplicaNode : public net::RpcService {
   ReplicaNodeOptions options_;
   NodeCounters counters_;
 
-  /// Durable engine; null with durability off. `initial_value_` is the
-  /// birth state Recover() rebuilds from when the disk is empty.
+  /// Durable engine; null with durability off. `initial_value_` is every
+  /// object's birth value, which recovery resets to before replaying.
   std::unique_ptr<store::DurableStore> durable_;
   std::vector<uint8_t> initial_value_;
 

@@ -119,9 +119,10 @@ class ReplicaStore {
   /// survives to recovery.
   void Crash();
 
-  /// Overwrites the persistent slice wholesale from recovered durable
-  /// state. Volatile state must already be clear (post-Crash); the shared
-  /// epoch record is restored separately, once per lineage.
+  /// Overwrites the persistent slice wholesale (recovery resets each
+  /// replica to birth this way before replaying). Volatile state must
+  /// already be clear (post-Crash); the shared epoch record is reset
+  /// separately, once per lineage.
   void RestorePersistent(VersionedObject object, bool stale,
                          Version desired_version) {
     object_ = std::move(object);

@@ -5,7 +5,6 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string_view>
 #include <type_traits>
@@ -153,9 +152,8 @@ class ByteReader {
 //     their bit pattern;
 //   - enums as one byte, decoded only up to `EnumMax(E{})` (found by
 //     argument-dependent lookup next to the enum);
-//   - byte vectors, NodeSet, std::vector<T> and std::map<K, V> as a u32
-//     count followed by the elements (a count larger than the bytes left
-//     is malformed); std::pair as its two members;
+//   - byte vectors, NodeSet and std::vector<T> as a u32 count followed
+//     by the elements (a count larger than the bytes left is malformed);
 //   - Blob{v}: v's encoding behind a u32 length;
 //   - two trailers, decoded as absent when no bytes are left:
 //     std::optional<T> (nothing, or (true, value)) and Tail{container}
@@ -207,9 +205,6 @@ void Fields(auto& io, Of<storage::LockOwner> auto& o) {
 void Fields(auto& io, Of<storage::Update> auto& u) {
   io(u.total, u.offset, u.bytes);
 }
-void Fields(auto& io, Of<storage::EpochRecord> auto& e) {
-  io(e.number, e.list);
-}
 
 /// Encoding visitor: `Put{w}(a, b, ...)` appends the fields to `w`.
 class Put {
@@ -245,27 +240,10 @@ class Put {
     Count(s.Size());
     for (NodeId id : s) w_.U32(id);
   }
-  void Field(const storage::VersionedObject& o) {
-    Field(o.version());
-    Field(o.data());
-  }
   template <typename T>
   void Field(const std::vector<T>& v) {
     Count(v.size());
     for (const T& e : v) Field(e);
-  }
-  template <typename K, typename V>
-  void Field(const std::map<K, V>& m) {
-    Count(m.size());
-    for (const auto& [k, v] : m) {
-      Field(k);
-      Field(v);
-    }
-  }
-  template <typename A, typename B>
-  void Field(const std::pair<A, B>& p) {
-    Field(p.first);
-    Field(p.second);
   }
   template <typename T>
   void Field(const std::optional<T>& o) {
@@ -328,37 +306,12 @@ class Get {
     const uint32_t n = Count();
     for (uint32_t i = 0; i < n && r_.ok(); ++i) s.Insert(r_.U32());
   }
-  void Field(storage::VersionedObject& o) {
-    storage::Version version = 0;
-    std::vector<uint8_t> data;
-    Field(version);
-    Field(data);
-    o = storage::VersionedObject();
-    o.InstallSnapshot(version, storage::Update::Total(std::move(data)));
-  }
   template <typename T>
   void Field(std::vector<T>& v) {
     v.clear();
     const uint32_t n = Count();
     v.reserve(n);
     for (uint32_t i = 0; i < n && r_.ok(); ++i) Field(v.emplace_back());
-  }
-  template <typename K, typename V>
-  void Field(std::map<K, V>& m) {
-    m.clear();
-    const uint32_t n = Count();
-    for (uint32_t i = 0; i < n && r_.ok(); ++i) {
-      K k{};
-      V v = V();
-      Field(k);
-      Field(v);
-      m.emplace(std::move(k), std::move(v));
-    }
-  }
-  template <typename A, typename B>
-  void Field(std::pair<A, B>& p) {
-    Field(p.first);
-    Field(p.second);
   }
   template <typename T>
   void Field(std::optional<T>& o) {

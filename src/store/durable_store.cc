@@ -4,21 +4,6 @@
 
 namespace dcp::store {
 
-// Field lists of the checkpoint image (store/codec.h). A staged entry's
-// key is its owner, so the entry encodes only what follows it; the
-// per-object epoch lineages are a trailer that group-mode checkpoints
-// omit, keeping them byte-identical to the pre-sharding format.
-void Fields(auto& io, Of<RecoveredState::ObjectState> auto& s) {
-  io(s.object, s.stale, s.desired_version);
-}
-void Fields(auto& io, Of<RecoveredState::StagedEntry> auto& e) {
-  io(e.participants, e.action);
-}
-void Fields(auto& io, Of<RecoveredState> auto& s) {
-  io(s.epoch_number, s.epoch_list, s.objects, s.staged, s.outcomes,
-     s.pending_propagation, s.next_operation_id, Tail{s.object_epochs});
-}
-
 constexpr uint32_t kCheckpointMagic = 0x4B504344;  // "DCPK".
 
 DurableStore::DurableStore(rt::Runtime* sim,
@@ -43,18 +28,21 @@ DurableStore::DurableStore(rt::Runtime* sim,
 // --- checkpointing ---------------------------------------------------------
 
 std::vector<uint8_t> DurableStore::EncodeCheckpoint(
-    const RecoveredState& state, uint64_t covered_lsn) {
+    uint64_t covered_lsn, const std::function<void(ByteWriter&)>& body) {
   ByteWriter w;
   w.U32(kCheckpointMagic);
   w.U64(covered_lsn);
-  Put{w}(state);
+  body(w);
   w.U32(Crc32(w.buffer()));
   return w.Take();
 }
 
-bool DurableStore::DecodeCheckpoint(const std::vector<uint8_t>& blob,
-                                    RecoveredState* state,
-                                    uint64_t* covered_lsn) {
+namespace {
+
+/// The body of checkpoint file `blob` and the LSN it covers; false when
+/// the file fails its CRC or magic.
+bool DecodeCheckpoint(const std::vector<uint8_t>& blob, ByteReader* body,
+                      uint64_t* covered_lsn) {
   if (blob.size() < 16) return false;
   uint32_t stored_crc = 0;
   for (int i = 0; i < 4; ++i) {
@@ -64,17 +52,16 @@ bool DurableStore::DecodeCheckpoint(const std::vector<uint8_t>& blob,
   ByteReader r(blob.data(), blob.size() - 4);
   if (r.U32() != kCheckpointMagic) return false;
   *covered_lsn = r.U64();
-  if (!Get{r}(*state) || r.remaining() != 0) return false;
-  for (auto& [key, entry] : state->staged) {
-    entry.owner = storage::LockOwner{key.first, key.second};
-  }
+  *body = r;
   return true;
 }
 
+}  // namespace
+
 void DurableStore::MaybeCheckpoint() {
-  if (checkpoint_inflight_ || !snapshot_) return;
-  // Only checkpoint when the log has no unsynced tail: the snapshot is
-  // taken from live state, which reflects *every* appended record, so
+  if (checkpoint_inflight_ || !checkpoint_source_) return;
+  // Only checkpoint when the log has no unsynced tail: the body is
+  // written from live state, which reflects *every* appended record, so
   // covered_lsn == end == durable-end and truncation later cannot orphan
   // (or double-cover) a record.
   if (wal_.end_lsn() != wal_.durable_end_lsn()) return;
@@ -84,7 +71,7 @@ void DurableStore::MaybeCheckpoint() {
   }
   checkpoint_inflight_ = true;
   const uint64_t covered = wal_.end_lsn();
-  std::vector<uint8_t> blob = EncodeCheckpoint(snapshot_(), covered);
+  std::vector<uint8_t> blob = EncodeCheckpoint(covered, checkpoint_source_);
   checkpoint_bytes_->Increment(blob.size());
   const uint64_t trimmed = covered - wal_.base_lsn();
   disk_.Replace(ckpt_file_, std::move(blob), [this, covered, trimmed] {
@@ -106,24 +93,21 @@ void DurableStore::Crash() {
   disk_.Crash();
 }
 
-void DurableStore::Recover(
-    RecoveredState birth, const std::function<void(RecoveredState)>& image,
+Status DurableStore::Recover(
+    const std::function<bool(ByteReader&)>& checkpoint,
     const std::function<void(uint8_t, ByteReader&)>& record) {
   last_recovery_ = RecoveryStats{};
 
   uint64_t covered_lsn = wal_.base_lsn();
   const std::vector<uint8_t>& ckpt = disk_.DurableImage(ckpt_file_);
   if (!ckpt.empty()) {
-    RecoveredState from_ckpt;
-    uint64_t ckpt_covered = 0;
-    if (DecodeCheckpoint(ckpt, &from_ckpt, &ckpt_covered)) {
-      birth = std::move(from_ckpt);
-      covered_lsn = ckpt_covered;
-      last_recovery_.from_checkpoint = true;
-      recoveries_from_checkpoint_->Increment();
+    ByteReader body(nullptr, 0);
+    if (!DecodeCheckpoint(ckpt, &body, &covered_lsn) || !checkpoint(body)) {
+      return Status::Internal("the checkpoint does not decode");
     }
+    last_recovery_.from_checkpoint = true;
+    recoveries_from_checkpoint_->Increment();
   }
-  image(std::move(birth));
 
   WalScanStats scan =
       wal_.Scan([&record, covered_lsn](uint64_t lsn, uint8_t type,
@@ -138,6 +122,7 @@ void DurableStore::Recover(
   recoveries_->Increment();
   recovered_records_->Increment(scan.records);
   recovered_torn_bytes_->Increment(scan.torn_bytes);
+  return Status::OK();
 }
 
 }  // namespace dcp::store

@@ -3,15 +3,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
-#include "storage/replica_store.h"
-#include "storage/versioned_object.h"
 #include "store/codec.h"
 #include "store/sim_disk.h"
 #include "store/wal.h"
+#include "util/status.h"
 
 namespace dcp::store {
 
@@ -29,45 +27,6 @@ struct DurabilityOptions {
   uint64_t checkpoint_threshold_bytes = 16 * 1024;
 };
 
-/// The checkpoint image: everything a replica node must reconstruct
-/// after a crash. Recovery starts from it (or from the node's birth
-/// state, epoch 0 and version 0, when no checkpoint survives) and replays
-/// the log records after it.
-///
-/// The 2PC staged actions are protocol-layer types; they travel through
-/// the store as opaque byte blobs (see protocol/action_codec.h), keeping
-/// this library free of protocol headers.
-struct RecoveredState {
-  using TxKey = std::pair<NodeId, uint64_t>;
-
-  storage::EpochNumber epoch_number = 0;
-  NodeSet epoch_list;
-
-  struct ObjectState {
-    storage::VersionedObject object;
-    bool stale = false;
-    storage::Version desired_version = 0;
-  };
-  std::map<storage::ObjectId, ObjectState> objects;
-
-  struct StagedEntry {
-    storage::LockOwner owner;
-    NodeSet participants;
-    std::vector<uint8_t> action;  ///< Opaque protocol-encoded StagedAction.
-  };
-  std::map<TxKey, StagedEntry> staged;
-  std::map<TxKey, uint8_t> outcomes;
-  std::map<storage::ObjectId, NodeSet> pending_propagation;
-  uint64_t next_operation_id = 1;
-
-  /// Per-object epoch lineages (sharded deployments): each hosted
-  /// object's own record. Empty when the node hosts only the group-wide
-  /// lineage (the epoch_number/epoch_list above), keeping both the
-  /// checkpoint image and the redo stream byte-identical to the
-  /// pre-sharding format.
-  std::map<storage::ObjectId, storage::EpochRecord> object_epochs;
-};
-
 /// What Recover() did, for tests and the demo.
 struct RecoveryStats {
   uint64_t replayed_records = 0;
@@ -77,8 +36,10 @@ struct RecoveryStats {
 
 /// Per-node durable storage engine: a WAL of typed redo records over a
 /// simulated disk, plus an atomically-replaced checkpoint file. It holds
-/// bytes only; the records and their meaning are the protocol layer's
-/// (protocol/redo.h).
+/// bytes only: a checkpoint is the magic, the LSN it covers and a CRC
+/// around a body the protocol layer writes and reads. The records, in the
+/// log and in a checkpoint body, and their meaning are the protocol
+/// layer's (protocol/redo.h).
 ///
 /// Record ordering contract (what makes torn tails safe): within one
 /// commit, *effect* records (updates, stale marks, epoch installs,
@@ -108,24 +69,25 @@ class DurableStore {
   /// Has anything been appended since this LSN? (Ack gating.)
   uint64_t end_lsn() const { return wal_.end_lsn(); }
 
-  /// Checkpoint source: the node's full persistent state, captured
-  /// synchronously when a checkpoint triggers.
-  void set_snapshot_source(std::function<RecoveredState()> fn) {
-    snapshot_ = std::move(fn);
+  /// Checkpoint source: writes the body of a checkpoint, the node's full
+  /// persistent state captured synchronously when a checkpoint triggers.
+  void set_checkpoint_source(std::function<void(ByteWriter&)> fn) {
+    checkpoint_source_ = std::move(fn);
   }
 
   /// Fail-stop crash: drops commit waiters and in-flight disk work, then
   /// applies the disk crash model to the unsynced tails.
   void Crash();
 
-  /// Recovery: hands `image` the checkpoint image, or `birth` when no
-  /// valid checkpoint survives, then hands `record` each log record the
-  /// image does not cover, in log order. Trims any torn tail so the log
-  /// is appendable again.
-  void Recover(RecoveredState birth,
-               const std::function<void(RecoveredState)>& image,
-               const std::function<void(uint8_t type, ByteReader& payload)>&
-                   record);
+  /// Recovery: hands `checkpoint` the body of the surviving checkpoint,
+  /// if there is one, then hands `record` each log record the checkpoint
+  /// does not cover, in log order. Trims any torn tail so the log is
+  /// appendable again. Fails, handing out no log record, when a
+  /// checkpoint exists but fails its CRC or `checkpoint` returns false:
+  /// the log prefix it covered is gone, so the log alone is not the state.
+  [[nodiscard]] Status Recover(
+      const std::function<bool(ByteReader& body)>& checkpoint,
+      const std::function<void(uint8_t type, ByteReader& payload)>& record);
 
   const RecoveryStats& last_recovery() const { return last_recovery_; }
 
@@ -133,11 +95,10 @@ class DurableStore {
   SimDisk& disk() { return disk_; }
   Wal& wal() { return wal_; }
 
-  /// Checkpoint blob round-trip (exposed for tests).
-  static std::vector<uint8_t> EncodeCheckpoint(const RecoveredState& state,
-                                               uint64_t covered_lsn);
-  static bool DecodeCheckpoint(const std::vector<uint8_t>& blob,
-                               RecoveredState* state, uint64_t* covered_lsn);
+  /// A checkpoint file covering the log below `covered_lsn`, its body
+  /// written by `body` (exposed for tests).
+  static std::vector<uint8_t> EncodeCheckpoint(
+      uint64_t covered_lsn, const std::function<void(ByteWriter&)>& body);
 
  private:
   void MaybeCheckpoint();
@@ -148,7 +109,7 @@ class DurableStore {
   SimDisk::FileId wal_file_;
   SimDisk::FileId ckpt_file_;
   Wal wal_;
-  std::function<RecoveredState()> snapshot_;
+  std::function<void(ByteWriter&)> checkpoint_source_;
   bool checkpoint_inflight_ = false;
   RecoveryStats last_recovery_;
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "protocol/action_codec.h"
+#include "protocol/cluster.h"
 #include "protocol/messages.h"
 #include "protocol/redo.h"
 #include "protocol/wire_codec.h"
@@ -27,7 +28,6 @@ namespace {
 
 using storage::Update;
 using store::DurableStore;
-using store::RecoveredState;
 
 struct Golden {
   const char* name;
@@ -56,6 +56,13 @@ std::string Hex(const std::vector<uint8_t>& bytes) {
 
 std::vector<uint8_t> Text(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
+}
+
+/// `value`'s field-list encoding.
+std::vector<uint8_t> Encoded(const auto& value) {
+  store::ByteWriter w;
+  store::Put{w}(value);
+  return w.Take();
 }
 
 net::Message Request(const char* type, net::PayloadPtr payload) {
@@ -297,28 +304,42 @@ std::vector<std::pair<std::string, std::vector<uint8_t>>> WalRecords() {
 
 // --- checkpoints -----------------------------------------------------------
 
-RecoveredState CheckpointState() {
-  RecoveredState s;
-  s.epoch_number = 7;
-  s.epoch_list = NodeSet{0, 2, 4};
-  for (storage::ObjectId id = 0; id < 2; ++id) {
-    RecoveredState::ObjectState os;
-    os.object = storage::VersionedObject(Text("obj"));
-    os.object.Apply(Update::Partial(1, {static_cast<uint8_t>('a' + id)}));
-    s.objects.emplace(id, std::move(os));
+/// A checkpoint of node 0 of a quiet durable deployment that holds every
+/// kind of state a checkpoint records: its lineages re-formed, a written
+/// and a stale replica, a staged action, outcomes and a duty. The node
+/// gets them by replaying its log through a crash and recovery.
+std::vector<uint8_t> NodeCheckpoint(bool sharded, uint64_t covered_lsn) {
+  ClusterOptions opts;
+  opts.num_nodes = 5;
+  opts.num_objects = 2;
+  opts.coterie = CoterieKind::kMajority;
+  opts.initial_value = Text("obj");
+  opts.durability.enabled = true;
+  opts.durability.crash.tear_probability = 0;
+  opts.sharded = sharded;
+  opts.replication_factor = 5;
+  Cluster cluster(opts);
+  store::DurableStore& store = *cluster.node(0).durable_store();
+  if (sharded) {
+    redo::Append(store, redo::ObjectEpochInstall{0, 3, NodeSet{0, 2}});
+    redo::Append(store, redo::ObjectEpochInstall{1, 5, NodeSet{0, 2, 4}});
+  } else {
+    redo::Append(store, redo::EpochInstall{7, NodeSet{0, 2, 4}});
   }
-  s.objects.at(1).stale = true;
-  s.objects.at(1).desired_version = 9;
-  RecoveredState::StagedEntry e;
-  e.owner = {2, 42};
-  e.participants = NodeSet{0, 1, 2};
-  e.action = EncodeStagedAction(WriteAction());
-  s.staged.emplace(RecoveredState::TxKey{2, 42}, e);
-  s.outcomes[{3, 17}] = 2;
-  s.outcomes[{1, 4}] = 1;
-  s.pending_propagation[0] = NodeSet{1, 3};
-  s.next_operation_id = 512;
-  return s;
+  redo::Append(store, redo::Update{0, 1, Update::Partial(1, {'a'})});
+  redo::Append(store, redo::MarkStale{1, 9});
+  redo::Append(store, redo::Stage{{2, 42}, NodeSet{0, 1, 2}, WriteAction()});
+  redo::Append(store, redo::Decide{{3, 17}, TxOutcome::kAborted});
+  redo::Append(store, redo::Decide{{1, 4}, TxOutcome::kCommitted});
+  redo::Append(store, redo::PropAdd{0, NodeSet{1, 3}});
+  bool synced = false;
+  store.Commit([&synced] { synced = true; });
+  while (!synced) cluster.RunFor(1);
+  cluster.Crash(0);
+  cluster.Recover(0);
+  const ReplicaNode& node = cluster.node(0);
+  return DurableStore::EncodeCheckpoint(
+      covered_lsn, [&node](store::ByteWriter& w) { node.WriteCheckpoint(w); });
 }
 
 std::vector<std::pair<std::string, std::vector<uint8_t>>> AllEncodings() {
@@ -326,20 +347,12 @@ std::vector<std::pair<std::string, std::vector<uint8_t>>> AllEncodings() {
   for (const auto& [name, msg] : WireMessages()) {
     out.emplace_back("wire_" + name, EncodeMessage(msg));
   }
-  out.emplace_back("action_write", EncodeStagedAction(WriteAction()));
-  out.emplace_back("action_group_install",
-                   EncodeStagedAction(GroupInstall()));
-  out.emplace_back("action_scoped_install",
-                   EncodeStagedAction(ScopedInstall()));
+  out.emplace_back("action_write", Encoded(WriteAction()));
+  out.emplace_back("action_group_install", Encoded(GroupInstall()));
+  out.emplace_back("action_scoped_install", Encoded(ScopedInstall()));
   for (auto& record : WalRecords()) out.push_back(std::move(record));
-  RecoveredState group = CheckpointState();
-  out.emplace_back("checkpoint_group",
-                   DurableStore::EncodeCheckpoint(group, 4096));
-  RecoveredState sharded = CheckpointState();
-  sharded.object_epochs[0] = storage::EpochRecord{3, NodeSet{0, 2}};
-  sharded.object_epochs[1] = storage::EpochRecord{5, NodeSet{2, 4, 6}};
-  out.emplace_back("checkpoint_sharded",
-                   DurableStore::EncodeCheckpoint(sharded, 8192));
+  out.emplace_back("checkpoint_group", NodeCheckpoint(false, 4096));
+  out.emplace_back("checkpoint_sharded", NodeCheckpoint(true, 8192));
   return out;
 }
 
@@ -383,8 +396,8 @@ constexpr Golden kGolden[] = {
     {"wal_type_10", 8, 0x4f1facb36efec27full},
     {"wal_type_11", 13, 0x6cf7b220ba97b11aull},
     {"wal_type_12", 28, 0x96eebc997a7027dull},
-    {"checkpoint_group", 344, 0x3a68e396a7e4eecdull},
-    {"checkpoint_sharded", 400, 0xf0516bfa2ab0939dull},
+    {"checkpoint_group", 357, 0x56eed9335610dc2aull},
+    {"checkpoint_sharded", 385, 0xafbe1b6ce216998ull},
 };
 
 TEST(CodecGoldenTest, EveryEncodingIsPinned) {

@@ -20,7 +20,6 @@
 
 #include "harness/nemesis.h"
 #include "harness/workload.h"
-#include "protocol/action_codec.h"
 #include "protocol/cluster.h"
 #include "protocol/redo.h"
 
@@ -28,7 +27,7 @@ namespace dcp::protocol {
 namespace {
 
 using storage::Update;
-using store::RecoveredState;
+using TxKey = ReplicaNode::TxKey;
 
 /// What recovery must reproduce. The operation-id counter is left out:
 /// recovery skips a stride of ids on purpose.
@@ -42,26 +41,32 @@ struct PersistentImage {
   };
   std::map<storage::ObjectId, Object> objects;
   std::map<storage::ObjectId, storage::EpochRecord> epochs;
-  std::map<RecoveredState::TxKey, std::vector<uint8_t>> staged;
-  std::map<RecoveredState::TxKey, uint8_t> outcomes;
+  std::map<TxKey, std::vector<uint8_t>> staged;  ///< Encoded Stage records.
+  std::map<TxKey, TxOutcome> outcomes;
   std::map<storage::ObjectId, NodeSet> duties;  ///< Non-empty only.
 };
 
-PersistentImage Capture(ReplicaNode& node) {
-  RecoveredState state = node.CheckpointState();
+/// `value`'s field-list encoding.
+std::vector<uint8_t> Encoded(const auto& value) {
+  store::ByteWriter w;
+  store::Put{w}(value);
+  return w.Take();
+}
+
+PersistentImage Capture(const ReplicaNode& node) {
   PersistentImage image;
-  for (const auto& [id, os] : state.objects) {
-    image.objects[id] = {os.object.version(), os.object.Fingerprint(),
-                         os.stale, os.desired_version};
+  for (storage::ObjectId id : node.HostedObjects()) {
+    const storage::ReplicaStore& store = node.store(id);
+    image.objects[id] = {store.version(), store.object().Fingerprint(),
+                         store.stale(), store.desired_version()};
     image.epochs[id] = node.epoch(id);
+    const NodeSet duty = node.pending_propagation(id);
+    if (!duty.Empty()) image.duties[id] = duty;
   }
-  for (const auto& [key, entry] : state.staged) {
-    image.staged[key] = entry.action;
+  for (const auto& [key, staged] : node.staged()) {
+    image.staged[key] = Encoded(staged);
   }
-  image.outcomes = state.outcomes;
-  for (const auto& [id, targets] : state.pending_propagation) {
-    if (!targets.Empty()) image.duties[id] = targets;
-  }
+  image.outcomes = node.outcomes();
   return image;
 }
 
@@ -103,6 +108,7 @@ struct Coverage {
   size_t staged = 0;
   size_t duties = 0;
   size_t reformed_lineages = 0;  ///< Lineage copies past epoch 0.
+  size_t from_checkpoint = 0;    ///< Recoveries that read a checkpoint.
 };
 
 /// Crashes and recovers every up node in turn, without advancing the
@@ -115,6 +121,9 @@ void ExpectReplayEqualsLive(Cluster& cluster, Coverage& coverage) {
     cluster.Recover(id);
     ExpectSame(live, Capture(cluster.node(id)), id);
     ++coverage.nodes;
+    if (cluster.node(id).durable_store()->last_recovery().from_checkpoint) {
+      ++coverage.from_checkpoint;
+    }
     coverage.staged += live.staged.size();
     coverage.duties += live.duties.size();
     for (const auto& [object, epoch] : live.epochs) {
@@ -192,6 +201,7 @@ TEST_P(ReplayEqualsLive, RecoveredNodeMatchesItsLiveState) {
   // The runs must reach the state worth comparing.
   EXPECT_GT(coverage.nodes, 0u);
   EXPECT_GT(coverage.reformed_lineages, 0u);
+  EXPECT_GT(coverage.from_checkpoint, 0u);
   if (c.stop == StopAt::kMidRun) {
     EXPECT_GT(coverage.staged, 0u);
     EXPECT_GT(coverage.duties, 0u);
@@ -307,12 +317,11 @@ TEST(RedoRecords, ResolveErasesStagedButDecideDoesNot) {
   SyncCrashRecover(cluster);
 
   ReplicaNode& node = cluster.node(kNode);
-  RecoveredState state = node.CheckpointState();
-  EXPECT_EQ(state.staged.count({1, 10}), 0u);
-  ASSERT_EQ(state.staged.count({1, 11}), 1u);
-  EXPECT_EQ(state.staged.at({1, 11}).action,
-            EncodeStagedAction(WriteOf(1, "b")));
-  EXPECT_EQ(state.staged.at({1, 11}).participants, participants);
+  EXPECT_EQ(node.staged().count({1, 10}), 0u);
+  ASSERT_EQ(node.staged().count({1, 11}), 1u);
+  EXPECT_EQ(Encoded(node.staged().at({1, 11}).action),
+            Encoded(WriteOf(1, "b")));
+  EXPECT_EQ(node.staged().at({1, 11}).participants, participants);
   EXPECT_EQ(node.LookupOutcome(resolved), TxOutcome::kCommitted);
   EXPECT_EQ(node.LookupOutcome(decided), TxOutcome::kCommitted);
   // Only the decided action still guards its footprint, and neither
@@ -338,6 +347,47 @@ TEST(RedoRecords, EpochReplayNeverRegresses) {
 
   EXPECT_EQ(cluster.node(kNode).epoch(0).number, 5u);
   EXPECT_EQ(cluster.node(kNode).epoch(0).list, NodeSet::FromVector({0, 1, 2}));
+}
+
+TEST(RedoRecords, CheckpointAloneRebuildsTheNode) {
+  // A crash right after a checkpoint publishes: the log past it is empty,
+  // so the checkpoint's records alone must bring back every kind of
+  // persistent state.
+  ClusterOptions opts = RecordOptions();
+  opts.durability.checkpoint_threshold_bytes = 2048;
+  Cluster cluster(opts);
+  const NodeSet participants = NodeSet::FromVector({0, 1});
+  Append(cluster, redo::Update{0, 1, Update::Total(Bytes("v1"))});
+  Append(cluster, redo::Update{0, 2, Update::Partial(1, Bytes("X"))});
+  Append(cluster, redo::MarkStale{1, 4});
+  Append(cluster, redo::EpochInstall{3, NodeSet::FromVector({0, 1, 2})});
+  Append(cluster, redo::Stage{{1, 10}, participants, WriteOf(0, "a")});
+  Append(cluster, redo::Decide{{2, 20}, TxOutcome::kCommitted});
+  Append(cluster, redo::PropAdd{0, NodeSet::FromVector({1, 2})});
+  SyncCrashRecover(cluster);  // The live state now holds the records.
+
+  // A snapshot older than the replica changes nothing but grows the log
+  // past the threshold, so its barrier publishes a checkpoint.
+  ReplicaNode& node = cluster.node(kNode);
+  store::DurableStore& store = *node.durable_store();
+  Append(cluster, redo::Snapshot{0, 0, std::vector<uint8_t>(2048, 0)});
+  store.Commit([] {});
+  obs::Counter* checkpoints = cluster.metrics().counter("store.checkpoints");
+  const uint64_t before = checkpoints->value();
+  while (checkpoints->value() == before) cluster.RunFor(0.1);
+  ASSERT_EQ(store.end_lsn(), store.wal().base_lsn()) << "no record after it";
+
+  const PersistentImage live = Capture(node);
+  ASSERT_TRUE(live.objects.at(1).stale);
+  ASSERT_EQ(live.staged.size(), 1u);
+  ASSERT_EQ(live.outcomes.size(), 1u);
+  ASSERT_EQ(live.duties.size(), 1u);
+  ASSERT_EQ(live.epochs.at(0).number, 3u);
+  cluster.Crash(kNode);
+  cluster.Recover(kNode);
+  EXPECT_TRUE(store.last_recovery().from_checkpoint);
+  EXPECT_EQ(store.last_recovery().replayed_records, 0u);
+  ExpectSame(live, Capture(node), kNode);
 }
 
 TEST(RedoRecords, OperationIdWatermarkPreventsReuse) {

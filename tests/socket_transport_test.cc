@@ -5,6 +5,9 @@
 // under -fsanitize=thread.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -22,6 +25,30 @@ SocketClusterOptions SmokeOptions() {
   o.coterie = protocol::CoterieKind::kMajority;
   o.initial_value = {0, 0, 0, 0, 0, 0, 0, 0};
   return o;
+}
+
+/// Waits until no node owes propagation for object 0. A transfer holds
+/// its target replica's lock, and an epoch install that meets a lock
+/// aborts, so a check issued right after a partial write waits for them.
+/// Each node's duty is read on that node's runtime, as a blocking call
+/// runs there.
+void AwaitPropagationDrained(SocketCluster& cluster) {
+  for (int round = 0; round < 500; ++round) {
+    bool owed = false;
+    for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+      auto duty = std::make_shared<std::promise<bool>>();
+      std::future<bool> owes = duty->get_future();
+      cluster.transport().runtime(n)->Schedule(0, [&cluster, n, duty] {
+        duty->set_value(!cluster.node(n).pending_propagation(0).Empty());
+      });
+      ASSERT_EQ(owes.wait_for(std::chrono::seconds(20)),
+                std::future_status::ready);
+      owed = owed || owes.get();
+    }
+    if (!owed) return;
+    cluster.RunFor(10);
+  }
+  FAIL() << "propagation never drained";
 }
 
 TEST(SocketTransportTest, StartStopIsCleanAndIdempotent) {
@@ -105,6 +132,7 @@ TEST(SocketTransportTest, EpochChangeExcludesAndReadmitsAFailedNode) {
 
   // Node 4 returns; a second epoch check readmits it (marked stale, then
   // caught up by propagation).
+  AwaitPropagationDrained(cluster);
   cluster.SetNodeUp(4, true);
   s = cluster.CheckEpochSync(2);
   ASSERT_TRUE(s.ok()) << s.ToString();
@@ -131,6 +159,7 @@ TEST(SocketTransportTest, InvariantCheckersRunAfterStop) {
   ASSERT_TRUE(s.ok()) << s.ToString();
   auto w2 = cluster.WriteSyncRetry(2, 0, Update::Partial(1, {5, 9}));
   ASSERT_TRUE(w2.ok()) << w2.status().ToString();
+  AwaitPropagationDrained(cluster);
   cluster.SetNodeUp(4, true);
   s = cluster.CheckEpochSync(3);
   ASSERT_TRUE(s.ok()) << s.ToString();

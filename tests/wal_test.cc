@@ -1,11 +1,12 @@
 // Unit tests for the durable storage engine: the simulated disk's
 // sync/tear semantics, WAL framing and torn-tail recovery scans, group
 // commit batching, checkpoint round-trips, and what DurableStore's
-// recovery hands back: the checkpoint image, then the records after it.
+// recovery hands back: the checkpoint body, then the records after it.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -380,45 +381,39 @@ DurabilityOptions StoreOptions(DiskCrashModel crash = DropModel()) {
   return o;
 }
 
-RecoveredState BirthState(uint32_t num_objects = 1,
-                          std::vector<uint8_t> value = Bytes("init")) {
-  RecoveredState s;
-  s.epoch_number = 0;
-  s.epoch_list = NodeSet::Universe(5);
-  for (uint32_t i = 0; i < num_objects; ++i) {
-    RecoveredState::ObjectState os;
-    os.object = storage::VersionedObject(value);
-    s.objects.emplace(i, std::move(os));
-  }
-  return s;
-}
-
-/// What one recovery handed out: the image, then the records after it.
+/// What one recovery handed out: the checkpoint body, if any, then the
+/// records after it.
 struct Recovered {
-  RecoveredState image;
+  Status status;
+  std::optional<std::vector<uint8_t>> checkpoint;
   std::vector<std::pair<uint8_t, std::vector<uint8_t>>> records;
 };
 
-Recovered RecoverAll(DurableStore& store, RecoveredState birth) {
+std::vector<uint8_t> Rest(ByteReader& r) {
+  std::vector<uint8_t> out;
+  while (r.remaining() > 0) out.push_back(r.U8());
+  return out;
+}
+
+Recovered RecoverAll(DurableStore& store) {
   Recovered out;
-  store.Recover(
-      std::move(birth),
-      [&out](RecoveredState image) { out.image = std::move(image); },
+  out.status = store.Recover(
+      [&out](ByteReader& body) {
+        out.checkpoint = Rest(body);
+        return true;
+      },
       [&out](uint8_t type, ByteReader& r) {
-        std::vector<uint8_t> payload;
-        while (r.remaining() > 0) payload.push_back(r.U8());
-        out.records.emplace_back(type, std::move(payload));
+        out.records.emplace_back(type, Rest(r));
       });
   return out;
 }
 
-TEST(DurableStoreTest, EmptyLogRecoversBirthState) {
+TEST(DurableStoreTest, EmptyDiskRecoversNothing) {
   sim::Simulator sim;
   DurableStore store(&sim, StoreOptions());
-  Recovered rec = RecoverAll(store, BirthState());
-  EXPECT_EQ(rec.image.epoch_number, 0u);
-  EXPECT_EQ(rec.image.objects.at(0).object.version(), 0u);
-  EXPECT_EQ(rec.image.objects.at(0).object.data(), Bytes("init"));
+  Recovered rec = RecoverAll(store);
+  EXPECT_TRUE(rec.status.ok());
+  EXPECT_FALSE(rec.checkpoint.has_value());
   EXPECT_TRUE(rec.records.empty());
   EXPECT_EQ(store.last_recovery().replayed_records, 0u);
   EXPECT_FALSE(store.last_recovery().from_checkpoint);
@@ -434,81 +429,90 @@ TEST(DurableStoreTest, UnsyncedRecordsDieButSyncedPrefixSurvives) {
   store.Append(1, Bytes("volatile"));
   store.Crash();  // The second record never reached a barrier.
 
-  Recovered rec = RecoverAll(store, BirthState());
+  Recovered rec = RecoverAll(store);
   ASSERT_EQ(rec.records.size(), 1u);
   EXPECT_EQ(rec.records[0].first, 1u);
   EXPECT_EQ(rec.records[0].second, Bytes("durable"));
 }
 
-TEST(DurableStoreTest, CheckpointBlobRoundTrips) {
-  RecoveredState state = BirthState(2, Bytes("obj"));
-  state.epoch_number = 7;
-  state.epoch_list = NodeSet::FromVector({0, 2, 4});
-  state.objects.at(1).stale = true;
-  state.objects.at(1).desired_version = 9;
-  RecoveredState::StagedEntry e;
-  e.owner = {2, 42};
-  e.participants = NodeSet::FromVector({0, 1, 2});
-  e.action = Bytes("staged-blob");
-  state.staged.emplace(RecoveredState::TxKey{2, 42}, e);
-  state.outcomes[{3, 17}] = 2;
-  state.pending_propagation[0] = NodeSet::FromVector({1, 3});
-  state.next_operation_id = 512;
+/// Logs versions 1..20 of a 32-byte value with a checkpoint threshold low
+/// enough to checkpoint mid-run. Each checkpoint body is the latest
+/// version number as a u64.
+void LogTwentyVersions(sim::Simulator& sim, DurableStore& store) {
+  uint64_t live = 0;
+  store.set_checkpoint_source([&live](ByteWriter& w) { w.U64(live); });
+  for (uint64_t v = 1; v <= 20; ++v) {
+    store.Append(1, std::vector<uint8_t>(32, static_cast<uint8_t>(v)));
+    live = v;
+    store.Commit([] {});
+    sim.Run();
+  }
+  store.set_checkpoint_source(nullptr);
+}
 
-  std::vector<uint8_t> blob = DurableStore::EncodeCheckpoint(state, 4096);
-  RecoveredState decoded;
-  uint64_t covered = 0;
-  ASSERT_TRUE(DurableStore::DecodeCheckpoint(blob, &decoded, &covered));
-  EXPECT_EQ(covered, 4096u);
-  EXPECT_EQ(decoded.epoch_number, 7u);
-  EXPECT_EQ(decoded.epoch_list, NodeSet::FromVector({0, 2, 4}));
-  EXPECT_EQ(decoded.objects.at(0).object.data(), Bytes("obj"));
-  EXPECT_TRUE(decoded.objects.at(1).stale);
-  EXPECT_EQ(decoded.objects.at(1).desired_version, 9u);
-  EXPECT_EQ(decoded.staged.at({2, 42}).action, Bytes("staged-blob"));
-  EXPECT_EQ(decoded.outcomes.at({3, 17}), 2u);
-  EXPECT_EQ(decoded.pending_propagation.at(0), NodeSet::FromVector({1, 3}));
-  EXPECT_EQ(decoded.next_operation_id, 512u);
-
-  // One flipped byte anywhere must fail the whole blob.
-  blob[blob.size() / 2] ^= 0x01;
-  EXPECT_FALSE(DurableStore::DecodeCheckpoint(blob, &decoded, &covered));
+DurabilityOptions CheckpointingOptions() {
+  DurabilityOptions options = StoreOptions();
+  options.checkpoint_threshold_bytes = 256;  // Trigger quickly.
+  return options;
 }
 
 TEST(DurableStoreTest, CheckpointTriggersTruncationAndRecovery) {
   sim::Simulator sim;
-  DurabilityOptions options = StoreOptions();
-  options.checkpoint_threshold_bytes = 256;  // Trigger quickly.
-  DurableStore store(&sim, options);
-
-  // Live state the checkpoint will capture.
-  RecoveredState live = BirthState();
-  store.set_snapshot_source([&live] { return live; });
-
-  auto value = [](storage::Version v) {
-    return std::vector<uint8_t>(32, static_cast<uint8_t>(v));
-  };
-  for (storage::Version v = 1; v <= 20; ++v) {
-    store.Append(1, value(v));
-    live.objects.at(0).object.Apply(storage::Update::Total(value(v)));
-    store.Commit([] {});
-    sim.Run();
-  }
+  DurableStore store(&sim, CheckpointingOptions());
+  LogTwentyVersions(sim, store);
   EXPECT_GT(sim.metrics().counter("store.checkpoints")->value(), 0u);
   EXPECT_GT(store.wal().base_lsn(), 0u);  // Prefix truncated.
 
   store.Crash();
-  Recovered rec = RecoverAll(store, BirthState());
+  Recovered rec = RecoverAll(store);
+  ASSERT_TRUE(rec.status.ok()) << rec.status.ToString();
   EXPECT_TRUE(store.last_recovery().from_checkpoint);
-  // The image covers a prefix of the versions; the records after it
+  // The body covers a prefix of the versions; the records after it
   // carry exactly the rest, in order.
-  const storage::Version covered = rec.image.objects.at(0).object.version();
+  ASSERT_TRUE(rec.checkpoint.has_value());
+  ByteReader body(*rec.checkpoint);
+  const uint64_t covered = body.U64();
+  ASSERT_TRUE(body.ok() && body.remaining() == 0);
   EXPECT_GT(covered, 0u);
   ASSERT_EQ(covered + rec.records.size(), 20u);
-  EXPECT_EQ(rec.image.objects.at(0).object.data(), value(covered));
   for (size_t i = 0; i < rec.records.size(); ++i) {
-    EXPECT_EQ(rec.records[i].second, value(covered + 1 + i));
+    EXPECT_EQ(rec.records[i].second,
+              std::vector<uint8_t>(32, static_cast<uint8_t>(covered + 1 + i)));
   }
+}
+
+TEST(DurableStoreTest, CorruptCheckpointIsRefused) {
+  // The log prefix a checkpoint covers is truncated once it is published,
+  // so a checkpoint that does not decode cannot fall back to the log.
+  sim::Simulator sim;
+  DurableStore store(&sim, CheckpointingOptions());
+  LogTwentyVersions(sim, store);
+  store.Crash();
+
+  constexpr SimDisk::FileId kCheckpointFile = 1;
+  std::vector<uint8_t> file = store.disk().DurableImage(kCheckpointFile);
+  ASSERT_FALSE(file.empty());
+  file[file.size() / 2] ^= 0x01;
+  store.disk().Replace(kCheckpointFile, std::move(file), [] {});
+  sim.Run();
+
+  Recovered rec = RecoverAll(store);
+  EXPECT_FALSE(rec.status.ok());
+  EXPECT_FALSE(rec.checkpoint.has_value());
+  EXPECT_TRUE(rec.records.empty());
+}
+
+TEST(DurableStoreTest, CheckpointBodyTheCallerRefusesIsRefused) {
+  sim::Simulator sim;
+  DurableStore store(&sim, CheckpointingOptions());
+  LogTwentyVersions(sim, store);
+  store.Crash();
+
+  bool handed_records = false;
+  Status s = store.Recover([](ByteReader&) { return false; },
+                           [&](uint8_t, ByteReader&) { handed_records = true; });
+  EXPECT_FALSE(s.ok());
+  EXPECT_FALSE(handed_records);
 }
 
 TEST(DurableStoreTest, CrashDuringRecoveryWindowIsRepeatable) {
@@ -521,14 +525,14 @@ TEST(DurableStoreTest, CrashDuringRecoveryWindowIsRepeatable) {
   store.Commit([] {});
   sim.Run();
   store.Crash();
-  Recovered r1 = RecoverAll(store, BirthState());
+  Recovered r1 = RecoverAll(store);
   ASSERT_EQ(r1.records.size(), 1u);
 
   store.Append(1, Bytes("gen2"));
   store.Commit([] {});
   sim.Run();
   store.Crash();
-  Recovered r2 = RecoverAll(store, BirthState());
+  Recovered r2 = RecoverAll(store);
   ASSERT_EQ(r2.records.size(), 2u);
   EXPECT_EQ(r2.records[0].second, Bytes("gen1"));
   EXPECT_EQ(r2.records[1].second, Bytes("gen2"));
