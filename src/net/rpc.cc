@@ -209,6 +209,15 @@ struct GatherState {
 void MulticastGather(RpcRuntime* runtime, const NodeSet& targets,
                      TypeName type, PayloadPtr request,
                      std::function<void(GatherResult)> done) {
+  MulticastGatherEach(
+      runtime, targets, type, [&request](NodeId) { return request; },
+      std::move(done));
+}
+
+void MulticastGatherEach(RpcRuntime* runtime, const NodeSet& targets,
+                         TypeName type,
+                         const std::function<PayloadPtr(NodeId)>& request_for,
+                         std::function<void(GatherResult)> done) {
   auto state = std::make_shared<GatherState>();
   state->expected = targets.Size();
   state->done = std::move(done);
@@ -221,12 +230,13 @@ void MulticastGather(RpcRuntime* runtime, const NodeSet& targets,
   }
 
   for (NodeId target : targets) {
-    runtime->Call(target, type, request, [state, target](RpcResult r) {
-      state->result.replies.emplace(target, std::move(r));
-      if (state->result.replies.size() == state->expected) {
-        state->done(std::move(state->result));
-      }
-    });
+    runtime->Call(target, type, request_for(target),
+                  [state, target](RpcResult r) {
+                    state->result.replies.emplace(target, std::move(r));
+                    if (state->result.replies.size() == state->expected) {
+                      state->done(std::move(state->result));
+                    }
+                  });
   }
 }
 

@@ -194,6 +194,13 @@ struct GatherResult {
 void MulticastGather(RpcRuntime* runtime, const NodeSet& targets,
                      TypeName type, PayloadPtr request,
                      std::function<void(GatherResult)> done);
+/// MulticastGather with a request of its own for each target:
+/// `request_for` builds it as that target's leg is sent, in ascending
+/// target order.
+void MulticastGatherEach(RpcRuntime* runtime, const NodeSet& targets,
+                         TypeName type,
+                         const std::function<PayloadPtr(NodeId)>& request_for,
+                         std::function<void(GatherResult)> done);
 
 }  // namespace dcp::net
 

@@ -181,12 +181,18 @@ struct PrepareRequest : net::Payload {
   std::vector<ObjectStateTuple> expect;
 };
 
+/// Phase 2. `forget` lists operation ids of earlier transactions the same
+/// coordinator decided and every participant acknowledged: no participant
+/// can still ask about them, so the receiver may drop their outcomes. A
+/// wire trailer: phase 2 without notices encodes as before.
 struct CommitRequest : net::Payload {
   LockOwner owner;
+  std::vector<uint64_t> forget;
 };
 
 struct AbortRequest : net::Payload {
   LockOwner owner;
+  std::vector<uint64_t> forget;
 };
 
 /// Cooperative-termination query: "what happened to transaction `owner`?"

@@ -51,7 +51,8 @@ struct Stage {
   StagedAction action;
 };
 /// The staged action's effects are applied: its entry goes, its outcome
-/// stays.
+/// stays until the coordinator's forget notice (a peer blocked on the
+/// transaction may still ask for it).
 struct Resolve {
   LockOwner owner;
   TxOutcome outcome = TxOutcome::kUnknown;
@@ -70,7 +71,9 @@ struct OpWatermark {
 };
 /// An outcome decided or learned. Unlike Resolve it keeps a staged entry:
 /// a coordinator that decided but crashed before its own participant
-/// commit still owes the staged action's effects.
+/// commit still owes the staged action's effects. kUnknown forgets the
+/// outcome: every participant has resolved, so none can still ask, and a
+/// coordinator with no record answers presumed abort.
 struct Decide {
   LockOwner owner;
   TxOutcome outcome = TxOutcome::kUnknown;

@@ -123,6 +123,8 @@ void ReplicaNode::Crash() {
   // participants resolve via presumed abort once we answer outcome
   // queries again ("no record, not deciding" => abort).
   coordinating_.clear();
+  // Unsent forget notices leave their outcomes at the participants.
+  forget_notices_.clear();
   for (auto& [scope, lineage] : lineages_) lineage.last_peer_poll = 0;
   if (durable_) durable_->Crash();
 }
@@ -296,7 +298,11 @@ void ReplicaNode::Apply(redo::Record record) {
           staged_.erase(KeyOf(r.owner));
           outcomes_[KeyOf(r.owner)] = r.outcome;
         } else if constexpr (std::is_same_v<R, redo::Decide>) {
-          outcomes_[KeyOf(r.owner)] = r.outcome;
+          if (r.outcome == TxOutcome::kUnknown) {
+            outcomes_.erase(KeyOf(r.owner));
+          } else {
+            outcomes_[KeyOf(r.owner)] = r.outcome;
+          }
         } else if constexpr (std::is_same_v<R, redo::PropAdd>) {
           NodeSet& pending = pending_propagation_[r.object];
           pending = pending.Union(r.targets);
@@ -339,6 +345,36 @@ void ReplicaNode::DecideCoordinatedTxDurable(const LockOwner& tx,
     return;
   }
   durable_->Commit(std::move(done));
+}
+
+void ReplicaNode::ForgetCoordinatedTx(const LockOwner& tx,
+                                      const NodeSet& participants) {
+  // Rides the lazy flush: lost to a crash, the outcome stays, which only
+  // answers a question nobody asks.
+  Persist(redo::Decide{tx, TxOutcome::kUnknown});
+  for (NodeId participant : participants) {
+    if (participant != self_) {
+      forget_notices_[participant].push_back(tx.operation_id);
+    }
+  }
+}
+
+std::vector<uint64_t> ReplicaNode::TakeForgetNotices(NodeId participant) {
+  auto it = forget_notices_.find(participant);
+  if (it == forget_notices_.end()) return {};
+  std::vector<uint64_t> ids = std::move(it->second);
+  forget_notices_.erase(it);
+  return ids;
+}
+
+void ReplicaNode::ForgetNoticed(NodeId coordinator,
+                                const std::vector<uint64_t>& ids) {
+  for (uint64_t id : ids) {
+    const TxKey key{coordinator, id};
+    if (outcomes_.count(key) > 0 && staged_.count(key) == 0) {
+      Persist(redo::Decide{{coordinator, id}, TxOutcome::kUnknown});
+    }
+  }
 }
 
 TxOutcome ReplicaNode::LookupOutcome(const LockOwner& tx) const {
@@ -616,6 +652,7 @@ Result<PayloadPtr> ReplicaNode::HandleCommit(const CommitRequest& req) {
     // Duplicate or post-termination commit; remember the outcome anyway.
     RecordOutcome(req.owner, TxOutcome::kCommitted);
   }
+  ForgetNoticed(req.owner.coordinator, req.forget);
   return PayloadPtr(MakePayload<AckResponse>());
 }
 
@@ -626,6 +663,7 @@ Result<PayloadPtr> ReplicaNode::HandleAbort(const AbortRequest& req) {
     RecordOutcome(req.owner, TxOutcome::kAborted);
     UnlockEverywhere(req.owner);
   }
+  ForgetNoticed(req.owner.coordinator, req.forget);
   return PayloadPtr(MakePayload<AckResponse>());
 }
 

@@ -196,6 +196,17 @@ class ReplicaNode : public net::RpcService {
   void DecideCoordinatedTxDurable(const LockOwner& tx, TxOutcome outcome,
                                   std::function<void()> done);
 
+  /// Forgets `tx`'s outcome once every participant acknowledged phase 2.
+  /// Each logged its resolution before acking, so none can still ask, and
+  /// a coordinator with no record answers presumed abort. The other
+  /// participants keep theirs (a blocked peer may ask them while this
+  /// node is down) until a forget notice on this node's next phase-2
+  /// message to them, queued here.
+  void ForgetCoordinatedTx(const LockOwner& tx, const NodeSet& participants);
+  /// The forget notices queued for `participant`, handed out once: a
+  /// notice whose message is lost leaves its outcome there.
+  std::vector<uint64_t> TakeForgetNotices(NodeId participant);
+
   TxOutcome LookupOutcome(const LockOwner& tx) const;
 
   /// Replicas this node still owes propagation to for `object`.
@@ -327,6 +338,9 @@ class ReplicaNode : public net::RpcService {
   void ReserveOperationIds();
 
   void RecordOutcome(const LockOwner& tx, TxOutcome outcome);
+  /// Drops the outcomes of `coordinator`'s transactions `ids` that this
+  /// node holds and has not staged (a phase-2 message's notices).
+  void ForgetNoticed(NodeId coordinator, const std::vector<uint64_t>& ids);
 
   void CommitStaged(const LockOwner& tx);
   void AbortStaged(const LockOwner& tx);
@@ -393,6 +407,9 @@ class ReplicaNode : public net::RpcService {
 
   // Volatile.
   std::map<TxKey, OwnerLocks> lock_records_;
+  /// Per participant: ids of transactions this node coordinated and
+  /// forgot, not yet announced to it.
+  std::map<NodeId, std::vector<uint64_t>> forget_notices_;
   bool propagation_scheduled_ = false;
   bool propagation_round_active_ = false;
   uint64_t termination_epoch_ = 0;  ///< Invalidates stale timers.

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "net/rpc.h"
 
@@ -15,6 +16,16 @@ namespace {
 /// globally unique, so fold it into one word the same way RPC ids are.
 uint64_t TxSpanId(const LockOwner& tx) {
   return (static_cast<uint64_t>(tx.coordinator) << 40) | tx.operation_id;
+}
+
+/// A phase-2 request (CommitRequest or AbortRequest) for `tx`.
+template <typename Phase2>
+net::PayloadPtr Phase2Request(const LockOwner& tx,
+                              std::vector<uint64_t> forget) {
+  auto request = std::make_shared<Phase2>();
+  request->owner = tx;
+  request->forget = std::move(forget);
+  return request;
 }
 
 }  // namespace
@@ -68,26 +79,29 @@ void TwoPhaseCommit::Run(
                    {{"outcome", committed ? "commit" : "abort"}});
     tracer.BeginSpan("2pc", phase2_span, state->tx.coordinator, span_id, {});
 
-    net::PayloadPtr phase2;
-    const char* type;
-    if (committed) {
-      auto commit = std::make_shared<CommitRequest>();
-      commit->owner = state->tx;
-      phase2 = std::move(commit);
-      type = msg::kCommit;
-    } else {
-      auto abort = std::make_shared<AbortRequest>();
-      abort->owner = state->tx;
-      phase2 = std::move(abort);
-      type = msg::kAbort;
-    }
-    net::MulticastGather(
-        &state->coordinator->rpc(), state->participants, type, phase2,
-        [state, outcome, phase2_span, span_id](net::GatherResult) {
-          // Unreachable participants resolve via cooperative termination;
-          // the transaction outcome is already decided either way.
-          state->coordinator->runtime()->tracer().EndSpan(
+    // Each participant's request carries the forget notices queued for
+    // it.
+    auto request_for = [state, committed](NodeId node) {
+      std::vector<uint64_t> forget =
+          state->coordinator->TakeForgetNotices(node);
+      return committed
+                 ? Phase2Request<CommitRequest>(state->tx, std::move(forget))
+                 : Phase2Request<AbortRequest>(state->tx, std::move(forget));
+    };
+    net::MulticastGatherEach(
+        &state->coordinator->rpc(), state->participants,
+        committed ? msg::kCommit : msg::kAbort, request_for,
+        [state, outcome, phase2_span, span_id](net::GatherResult g) {
+          ReplicaNode* node = state->coordinator;
+          node->runtime()->tracer().EndSpan(
               "2pc", phase2_span, state->tx.coordinator, span_id, {});
+          // Every participant acknowledged after logging its resolution,
+          // so none can still ask about the transaction: forget it.
+          // Unreachable participants resolve via cooperative termination,
+          // which needs the outcome kept; it is decided either way.
+          if (g.Succeeded() == state->participants) {
+            node->ForgetCoordinatedTx(state->tx, state->participants);
+          }
           if (outcome == TxOutcome::kCommitted) {
             state->done(Status::OK());
           } else {

@@ -37,8 +37,12 @@ void Fields(auto& io, Of<FetchResponse> auto& m) { io(m.version, m.data); }
 void Fields(auto& io, Of<PrepareRequest> auto& m) {
   io(m.owner, Blob{m.action}, m.participants, Tail{m.expect});
 }
-void Fields(auto& io, Of<CommitRequest> auto& m) { io(m.owner); }
-void Fields(auto& io, Of<AbortRequest> auto& m) { io(m.owner); }
+void Fields(auto& io, Of<CommitRequest> auto& m) {
+  io(m.owner, Tail{m.forget});
+}
+void Fields(auto& io, Of<AbortRequest> auto& m) {
+  io(m.owner, Tail{m.forget});
+}
 void Fields(auto& io, Of<OutcomeRequest> auto& m) { io(m.owner); }
 void Fields(auto& io, Of<OutcomeResponse> auto& m) {
   io(m.outcome, m.is_coordinator, m.in_progress);

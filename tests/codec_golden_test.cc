@@ -267,6 +267,16 @@ std::vector<std::pair<std::string, net::Message>> WireMessages() {
   with_data->state.stale = false;
   with_data->data = std::vector<uint8_t>{9, 8, 7};
   add("lock_response_data", Response(msg::kLock, with_data));
+
+  // Phase 2 carrying forget notices for the coordinator's earlier
+  // transactions.
+  auto commit_forget = std::make_shared<CommitRequest>(*commit);
+  commit_forget->forget = {7, 8};
+  add("commit_request_forget", Request(msg::kCommit, commit_forget));
+
+  auto abort_forget = std::make_shared<AbortRequest>(*abort);
+  abort_forget->forget = {9};
+  add("abort_request_forget", Request(msg::kAbort, abort_forget));
   return out;
 }
 
@@ -381,6 +391,8 @@ constexpr Golden kGolden[] = {
     {"wire_call_failed", 59, 0x3307ae956bd7d5bfull},
     {"wire_lock_request_data_from", 65, 0xfb5b5aaf1466230bull},
     {"wire_lock_response_data", 94, 0x9a05eac0cd1ee4d1ull},
+    {"wire_commit_request_forget", 73, 0xf5373ec62795357eull},
+    {"wire_abort_request_forget", 64, 0x273318e0b6286898ull},
     {"action_write", 150, 0xe6d004464bdacd31ull},
     {"action_group_install", 162, 0xa4174b4fd3aa79d3ull},
     {"action_scoped_install", 167, 0x7b36da91860603b7ull},
@@ -433,8 +445,9 @@ TEST(CodecGoldenTest, WirePrefixesFailOrEndAtATrailer) {
     }
   }
   // The golden messages with a wire trailer: the scoped poll, the lock
-  // request naming a data sender and the grant carrying data.
-  EXPECT_EQ(trailer_prefixes, 3u);
+  // request naming a data sender, the grant carrying data and the commit
+  // and abort carrying forget notices.
+  EXPECT_EQ(trailer_prefixes, 5u);
 }
 
 // The body must end the frame: a frame with bytes appended is refused,

@@ -403,7 +403,7 @@ uint64_t RunDurableOnce(uint64_t seed) {
 }
 
 TEST(Determinism, DurableFingerprintIsPinned) {
-  EXPECT_EQ(RunDurableOnce(4242), 0x07ca68065989f03dull);
+  EXPECT_EQ(RunDurableOnce(4242), 0xedef34a4ed5ef40bull);
 }
 
 // --- sharded determinism ---------------------------------------------------

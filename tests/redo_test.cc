@@ -11,9 +11,13 @@
 //
 // What each record means: records appended straight to a node's store,
 // then read back through the node after a crash and recovery.
+//
+// The outcome log: forgotten 2PC outcomes keep a node's outcomes and its
+// checkpoints from growing with the number of transactions.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -471,6 +475,68 @@ TEST(RedoRecords, PropagationWithAGapIsRefusedAndReleasesTheTransfer) {
   EXPECT_EQ(node.store(0).object().data(), Bytes("abit"));
   EXPECT_FALSE(node.store(0).stale());
   EXPECT_FALSE(node.store(0).IsLocked());
+}
+
+
+// --- the outcome log -------------------------------------------------------
+
+/// The largest outcome log and published checkpoint over the nodes of a
+/// fault-free durable grid, after `writes` sequential partial writes
+/// (coordinators taken in turn) and a quiet spell.
+struct OutcomeLogSize {
+  size_t outcomes = 0;
+  size_t checkpoint_bytes = 0;
+};
+
+OutcomeLogSize AfterSequentialWrites(uint32_t writes) {
+  ClusterOptions opts;
+  opts.num_nodes = 9;
+  opts.coterie = CoterieKind::kGrid;
+  opts.seed = 3;
+  opts.initial_value = std::vector<uint8_t>(32, 0);
+  opts.durability.enabled = true;
+  opts.durability.checkpoint_threshold_bytes = 4096;
+  Cluster cluster(opts);
+  for (uint32_t i = 0; i < writes; ++i) {
+    Result<WriteOutcome> w = cluster.WriteSync(
+        i % opts.num_nodes, 0,
+        Update::Partial(i % 32, {static_cast<uint8_t>(i)}));
+    EXPECT_TRUE(w.ok()) << "write " << i << ": " << w.status().ToString();
+  }
+  cluster.RunFor(2000);
+  EXPECT_TRUE(cluster.Quiescent());
+
+  // The store opens its log first and its checkpoint second.
+  constexpr store::SimDisk::FileId kCheckpointFile = 1;
+  OutcomeLogSize size;
+  for (NodeId n = 0; n < opts.num_nodes; ++n) {
+    ReplicaNode& node = cluster.node(n);
+    size.outcomes = std::max(size.outcomes, node.outcomes().size());
+    size.checkpoint_bytes = std::max(
+        size.checkpoint_bytes,
+        node.durable_store()->disk().DurableImage(kCheckpointFile).size());
+  }
+  return size;
+}
+
+TEST(OutcomeLog, StaysBoundedAsWritesAccumulate) {
+  // Without faults every phase 2 is acknowledged by all participants, so
+  // each coordinator forgets its transaction at once, and a participant
+  // keeps only the outcomes whose forget notice its coordinator has not
+  // sent yet: with one operation at a time, at most the last transaction
+  // of each other coordinator.
+  constexpr size_t kMaxOutcomes = 9 - 1;
+  // A checkpoint's Decide costs its owner (4 + 8 bytes) and outcome (1).
+  constexpr size_t kDecideBytes = 13;
+  const OutcomeLogSize short_run = AfterSequentialWrites(500);
+  const OutcomeLogSize long_run = AfterSequentialWrites(2000);
+  EXPECT_LE(short_run.outcomes, kMaxOutcomes);
+  EXPECT_LE(long_run.outcomes, kMaxOutcomes);
+  // Four times the transactions may change which outcomes a checkpoint
+  // caught, not how many.
+  ASSERT_GT(short_run.checkpoint_bytes, 0u) << "no checkpoint published";
+  EXPECT_LE(long_run.checkpoint_bytes,
+            short_run.checkpoint_bytes + kMaxOutcomes * kDecideBytes);
 }
 
 }  // namespace

@@ -28,8 +28,8 @@ SocketClusterOptions SmokeOptions() {
 }
 
 /// Waits until no node owes propagation for object 0. A transfer holds
-/// its target replica's lock, and an epoch install that meets a lock
-/// aborts, so a check issued right after a partial write waits for them.
+/// its target replica's lock, and an epoch install or a read that meets a
+/// lock fails, so one issued right after a partial write waits for them.
 /// Each node's duty is read on that node's runtime, as a blocking call
 /// runs there.
 void AwaitPropagationDrained(SocketCluster& cluster) {
@@ -205,6 +205,9 @@ TEST(SocketTransportTest, ConcurrentCoordinatorsMakeProgress) {
         << "writer " << i << ": " << results[static_cast<size_t>(i)].ToString();
   }
 
+  // The partial writes leave propagation owed, and a read that meets a
+  // transfer's lock fails with Conflict.
+  AwaitPropagationDrained(cluster);
   auto r = cluster.ReadSync(0);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->version, static_cast<storage::Version>(kWriters));

@@ -62,7 +62,25 @@ TEST(TwoPhase, CommitAppliesEverywhere) {
     EXPECT_FALSE(cluster.node(n).store().IsLocked());
     EXPECT_EQ(cluster.node(n).LookupOutcome(tx), TxOutcome::kCommitted);
   }
-  EXPECT_EQ(cluster.node(0).LookupOutcome(tx), TxOutcome::kCommitted);
+  // Every participant acknowledged the commit, so the coordinator forgot
+  // it; the participants keep theirs until told.
+  EXPECT_EQ(cluster.node(0).LookupOutcome(tx), TxOutcome::kUnknown);
+
+  // The next transaction's phase 2 carries the forget notice.
+  LockOwner next{0, cluster.node(0).NextOperationId()};
+  for (NodeId n = 1; n <= 3; ++n) actions[n] = MarkStaleAction(8);
+  LockAt(cluster, next, NodeSet({1, 2, 3}));
+  result = Status::Internal("unset");
+  TwoPhaseCommit::Run(&cluster.node(0), next, actions,
+                      [&](Status s) { result = s; });
+  cluster.simulator().Run();
+  EXPECT_TRUE(result.ok()) << result.ToString();
+  for (NodeId n = 1; n <= 3; ++n) {
+    EXPECT_EQ(cluster.node(n).LookupOutcome(tx), TxOutcome::kUnknown);
+    EXPECT_EQ(cluster.node(n).LookupOutcome(next), TxOutcome::kCommitted);
+    EXPECT_EQ(cluster.node(n).outcomes().size(), 1u);
+  }
+  EXPECT_TRUE(cluster.node(0).outcomes().empty());
 }
 
 TEST(TwoPhase, PrepareFailureAbortsEverywhere) {
@@ -232,6 +250,39 @@ TEST(TwoPhase, PeersResolveWhenCoordinatorStaysDown) {
   EXPECT_TRUE(cluster.Quiescent());
   EXPECT_TRUE(cluster.node(3).store().stale())
       << "node 3 should learn the commit from peers 1/2";
+}
+
+TEST(TwoPhase, ParticipantCutOffFromPhaseTwoResolvesFromPeers) {
+  // Participants keep their outcomes after resolving, until the
+  // coordinator's forget notice: a peer that missed phase 2 may need them
+  // while the coordinator is down.
+  Cluster cluster(Options());
+  LockOwner tx{0, cluster.node(0).NextOperationId()};
+  std::map<NodeId, StagedAction> actions;
+  for (NodeId n = 1; n <= 3; ++n) actions[n] = MarkStaleAction(9);
+  LockAt(cluster, tx, NodeSet({1, 2, 3}));
+
+  // Prepares land at t=1 and their acks decide at t=2. Cutting the link
+  // to node 3 in between loses only its commit; the others apply theirs
+  // at t=3, and the coordinator learns of the lost one then.
+  cluster.simulator().Schedule(1.5, [&] { cluster.CutLink(0, 3); });
+  Status result = Status::Internal("unset");
+  TwoPhaseCommit::Run(&cluster.node(0), tx, actions,
+                      [&](Status s) { result = s; });
+  cluster.RunFor(10);
+  ASSERT_TRUE(result.ok()) << result.ToString();
+  // Node 3 never acknowledged, so the coordinator keeps the decision.
+  EXPECT_EQ(cluster.node(0).LookupOutcome(tx), TxOutcome::kCommitted);
+  ASSERT_TRUE(cluster.node(3).has_staged_transaction());
+
+  // The coordinator goes down before node 3's termination timer fires.
+  cluster.Crash(0);
+  cluster.RunFor(cluster.node(3).options().termination_poll_interval * 3);
+  EXPECT_FALSE(cluster.node(3).has_staged_transaction())
+      << "node 3 blocked on the dead coordinator";
+  EXPECT_TRUE(cluster.node(3).store().stale());
+  EXPECT_EQ(cluster.node(3).store().desired_version(), 9u);
+  EXPECT_EQ(cluster.node(3).LookupOutcome(tx), TxOutcome::kCommitted);
 }
 
 TEST(TwoPhase, LateCommitAfterPropagationCatchUpIsSubsumed) {
