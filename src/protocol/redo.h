@@ -129,11 +129,12 @@ inline constexpr uint8_t kType = []<typename... Rs>(std::variant<Rs...>*) {
 
 /// Appends `record` to `store` (durable at the next barrier).
 template <typename R>
-void Append(store::DurableStore& store, const R& record) {
+void Append(store::DurableStore& store, const R& record,
+            store::Flush flush = store::Flush::kLazy) {
   static_assert(kType<R> != 0, "not a redo record");
   store::ByteWriter w;
   store::Put{w}(record);
-  store.Append(kType<R>, w.buffer());
+  store.Append(kType<R>, w.buffer(), flush);
 }
 
 /// The record of `type` at the front of `r`; nothing for an unknown type

@@ -256,8 +256,8 @@ void ReplicaNode::ReserveOperationIds() {
 }
 
 template <typename R>
-void ReplicaNode::Persist(R record) {
-  if (durable_) redo::Append(*durable_, record);
+void ReplicaNode::Persist(R record, store::Flush flush) {
+  if (durable_) redo::Append(*durable_, record, flush);
   Apply(std::move(record));
 }
 
@@ -349,9 +349,9 @@ void ReplicaNode::DecideCoordinatedTxDurable(const LockOwner& tx,
 
 void ReplicaNode::ForgetCoordinatedTx(const LockOwner& tx,
                                       const NodeSet& participants) {
-  // Rides the lazy flush: lost to a crash, the outcome stays, which only
-  // answers a question nobody asks.
-  Persist(redo::Decide{tx, TxOutcome::kUnknown});
+  // Rides the next sync another record needs: lost to a crash, the
+  // outcome stays, which only answers a question nobody asks.
+  Persist(redo::Decide{tx, TxOutcome::kUnknown}, store::Flush::kNextSync);
   for (NodeId participant : participants) {
     if (participant != self_) {
       forget_notices_[participant].push_back(tx.operation_id);
@@ -372,7 +372,8 @@ void ReplicaNode::ForgetNoticed(NodeId coordinator,
   for (uint64_t id : ids) {
     const TxKey key{coordinator, id};
     if (outcomes_.count(key) > 0 && staged_.count(key) == 0) {
-      Persist(redo::Decide{{coordinator, id}, TxOutcome::kUnknown});
+      Persist(redo::Decide{{coordinator, id}, TxOutcome::kUnknown},
+              store::Flush::kNextSync);
     }
   }
 }
@@ -997,21 +998,25 @@ void ReplicaNode::OfferPropagation(ObjectId object, NodeId target) {
       case PropagationVerdict::kPermitted:
         break;
     }
-    // Ship exactly the target's gap; fall back to a snapshot if our log
-    // no longer reaches back that far.
+    // Ship exactly the target's gap, or a snapshot when our log no longer
+    // reaches back that far (the gap would cost at least as much).
     auto data = std::make_shared<PropagationData>();
     data->object = object;
     data->transfer_id = transfer_id;
     storage::ReplicaStore& store = objects_.at(object);
     Result<std::vector<Update>> gap =
         store.object().UpdatesSince(reply.target_version);
+    // Counted by name on first use, so a run without transfers registers
+    // neither counter.
     if (gap.ok()) {
       data->first_version = reply.target_version + 1;
       data->updates = std::move(gap).value();
+      runtime()->metrics().counter("prop.gap_transfers")->Increment();
     } else {
       data->snapshot = true;
       data->snapshot_version = store.version();
       data->updates = {store.object().Snapshot()};
+      runtime()->metrics().counter("prop.snapshot_transfers")->Increment();
     }
     rpc_.Call(target, msg::kPropData, data,
               [this, object, target](net::RpcResult rr) {

@@ -332,7 +332,7 @@ class ReplicaNode : public net::RpcService {
   void Apply(redo::Record record);
   /// Appends `record` to the log when durability is on, then applies it.
   template <typename R>
-  void Persist(R record);
+  void Persist(R record, store::Flush flush = store::Flush::kLazy);
   /// Keeps the durable operation-id watermark at least half a stride
   /// ahead of the next id.
   void ReserveOperationIds();

@@ -57,9 +57,10 @@ class DurableStore {
   DurableStore& operator=(const DurableStore&) = delete;
 
   /// Appends one record: its type byte and payload. Durable at the next
-  /// barrier.
-  void Append(uint8_t type, const std::vector<uint8_t>& payload) {
-    wal_.Append(type, payload);
+  /// barrier; `flush` says whether the lazy flush must issue one.
+  void Append(uint8_t type, const std::vector<uint8_t>& payload,
+              Flush flush = Flush::kLazy) {
+    wal_.Append(type, payload, flush);
   }
 
   /// Group commit: `done` fires once everything logged so far is

@@ -31,7 +31,8 @@ Wal::Wal(rt::Runtime* sim, SimDisk* disk, SimDisk::FileId file,
                                {1, 2, 4, 8, 16, 32, 64});
 }
 
-uint64_t Wal::Append(uint8_t type, const std::vector<uint8_t>& payload) {
+uint64_t Wal::Append(uint8_t type, const std::vector<uint8_t>& payload,
+                    Flush flush) {
   const uint32_t len = static_cast<uint32_t>(payload.size());
   ByteWriter frame;
   frame.U8(kMagic);
@@ -43,7 +44,10 @@ uint64_t Wal::Append(uint8_t type, const std::vector<uint8_t>& payload) {
   records_->Increment();
   record_bytes_->Increment(frame.size());
   ++records_since_sync_;
-  ScheduleLazyFlush();
+  if (flush == Flush::kLazy) {
+    lazy_end_ = end;
+    ScheduleLazyFlush();
+  }
   return end;
 }
 
@@ -91,7 +95,9 @@ void Wal::ScheduleLazyFlush() {
   sim_->Schedule(opt_.flush_interval, [this, epoch] {
     if (epoch != epoch_) return;
     flush_scheduled_ = false;
-    if (!sync_inflight_ && disk_->End(file_) > disk_->DurableEnd(file_)) {
+    // Only a lazy record still short of the disk needs this sync; a
+    // Flush::kNextSync record alone waits for another record's.
+    if (!sync_inflight_ && lazy_end_ > disk_->DurableEnd(file_)) {
       IssueSync();
     }
   });
@@ -139,6 +145,7 @@ void Wal::OnCrash() {
   sync_inflight_ = false;
   flush_scheduled_ = false;
   records_since_sync_ = 0;
+  lazy_end_ = 0;
 }
 
 }  // namespace dcp::store

@@ -11,6 +11,13 @@
 
 namespace dcp::store {
 
+/// When an appended record reaches the disk.
+enum class Flush {
+  kLazy,      ///< Within `flush_interval` at the latest (the lazy flush).
+  kNextSync,  ///< With the next sync some other record needs; a crash
+              ///< before that sync may lose it.
+};
+
 /// Tuning knobs for the log.
 struct WalOptions {
   /// Records appended without an explicit Commit() (lazy bookkeeping —
@@ -55,9 +62,11 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  /// Appends one framed record; returns the end LSN after it. Schedules
-  /// a lazy flush so even commit-less records become durable eventually.
-  uint64_t Append(uint8_t type, const std::vector<uint8_t>& payload);
+  /// Appends one framed record; returns the end LSN after it. With
+  /// Flush::kLazy it schedules a lazy flush, so even commit-less records
+  /// become durable eventually.
+  uint64_t Append(uint8_t type, const std::vector<uint8_t>& payload,
+                  Flush flush = Flush::kLazy);
 
   /// `done` fires once everything appended so far is durable. Dropped on
   /// crash.
@@ -107,6 +116,7 @@ class Wal {
   bool flush_scheduled_ = false;
   uint64_t epoch_ = 0;  ///< Invalidates callbacks/timers across crashes.
   uint64_t records_since_sync_ = 0;
+  uint64_t lazy_end_ = 0;  ///< End LSN of the last Flush::kLazy record.
 
   obs::Counter* records_;
   obs::Counter* record_bytes_;

@@ -5,10 +5,13 @@
 //     eliminates it;
 //   - the "no current replica reachable" abort path (max dversion >
 //     max version);
-//   - propagation fallback to snapshots after log truncation.
+//   - propagation fallback to snapshots once the log no longer reaches
+//     back to a stale replica's version.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "protocol/cluster.h"
@@ -157,8 +160,10 @@ TEST(Propagation, SnapshotFallbackAfterLogTruncation) {
   opts.initial_value = Bytes("snapshot-test");
   Cluster cluster(opts);
 
-  // Make node 8 stale, then truncate every good replica's log so the
-  // incremental path is impossible.
+  // Make node 8 stale while four 1-byte patches land. Each costs 14 bytes
+  // on the wire, more together than a snapshot of the 13-byte value (26
+  // bytes), so no current replica's log reaches back to node 8's version
+  // and the incremental path is impossible.
   cluster.Crash(8);
   ASSERT_TRUE(cluster.CheckEpochSync(0).ok());
   for (int i = 0; i < 4; ++i) {
@@ -169,18 +174,117 @@ TEST(Propagation, SnapshotFallbackAfterLogTruncation) {
   }
   cluster.RunFor(2000);
   for (uint32_t i = 0; i < 8; ++i) {
-    auto& object = cluster.node(i).store().object();
-    object.TruncateLog(object.version());
+    const auto& object = cluster.node(i).store().object();
+    if (object.version() == 4) {
+      EXPECT_FALSE(object.UpdatesSince(0).ok()) << "node " << i;
+    }
   }
+  const uint64_t snapshots_before =
+      cluster.metrics().CounterValue("prop.snapshot_transfers");
   cluster.Recover(8);
   ASSERT_TRUE(cluster.CheckEpochSync(0).ok());  // Re-admits 8 as stale.
   cluster.RunFor(3000);
+  EXPECT_GT(cluster.metrics().CounterValue("prop.snapshot_transfers"),
+            snapshots_before);
 
   const auto& store8 = cluster.node(8).store();
   EXPECT_FALSE(store8.stale()) << store8.DebugString();
   EXPECT_EQ(store8.object().Fingerprint(),
             cluster.node(0).store().object().Fingerprint());
   EXPECT_TRUE(cluster.CheckReplicaConsistency().ok());
+}
+
+/// The replicas below the newest version.
+uint64_t ReplicasBehind(Cluster& cluster) {
+  storage::Version newest = 0;
+  for (uint32_t i = 0; i < cluster.num_nodes(); ++i) {
+    newest = std::max(newest, cluster.node(i).store().version());
+  }
+  uint64_t behind = 0;
+  for (uint32_t i = 0; i < cluster.num_nodes(); ++i) {
+    if (cluster.node(i).store().version() < newest) ++behind;
+  }
+  return behind;
+}
+
+TEST(Propagation, ShipsAGapOnlyWhileItIsCheaperThanASnapshot) {
+  ClusterOptions opts;
+  opts.num_nodes = 9;
+  opts.coterie = CoterieKind::kGrid;
+  opts.seed = 51;
+  opts.initial_value = std::vector<uint8_t>(4096, 0);
+  Cluster cluster(opts);
+  auto transfers = [&cluster](const char* kind) {
+    return cluster.metrics().CounterValue(std::string("prop.") + kind +
+                                          "_transfers");
+  };
+
+  // Node 8 misses a total write; so may nodes outside its quorum. The
+  // epoch change that re-admits node 8 marks every replica behind stale,
+  // and each gets one transfer: a snapshot, since no log holds a total.
+  cluster.Crash(8);
+  ASSERT_TRUE(cluster.CheckEpochSync(0).ok());
+  ASSERT_TRUE(
+      cluster.WriteSyncRetry(0, Update::Total(std::vector<uint8_t>(4096, 7)))
+          .ok());
+  cluster.RunFor(3000);
+  const uint64_t behind_total = ReplicasBehind(cluster);
+  ASSERT_GE(behind_total, 1u);
+  const uint64_t gaps_before = transfers("gap");
+  const uint64_t snapshots_before = transfers("snapshot");
+  cluster.Recover(8);
+  ASSERT_TRUE(cluster.CheckEpochSync(0).ok());
+  cluster.RunFor(3000);
+  EXPECT_EQ(ReplicasBehind(cluster), 0u);
+  EXPECT_EQ(transfers("snapshot") - snapshots_before, behind_total);
+  EXPECT_EQ(transfers("gap"), gaps_before);
+
+  // Two 16-byte patches (29 bytes each on the wire) cost far less than a
+  // snapshot of the 4 KiB value: whoever missed them gets the gap.
+  cluster.Crash(8);
+  ASSERT_TRUE(cluster.CheckEpochSync(0).ok());
+  for (uint8_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(cluster
+                    .WriteSyncRetry(i, Update::Partial(
+                                           64 * i, std::vector<uint8_t>(16, i)))
+                    .ok());
+  }
+  cluster.RunFor(3000);
+  const uint64_t behind_patches = ReplicasBehind(cluster);
+  ASSERT_GE(behind_patches, 1u);
+  const uint64_t gaps_mid = transfers("gap");
+  const uint64_t snapshots_mid = transfers("snapshot");
+  cluster.Recover(8);
+  ASSERT_TRUE(cluster.CheckEpochSync(0).ok());
+  cluster.RunFor(3000);
+  EXPECT_EQ(ReplicasBehind(cluster), 0u);
+  EXPECT_EQ(transfers("gap") - gaps_mid, behind_patches);
+  EXPECT_EQ(transfers("snapshot"), snapshots_mid);
+  EXPECT_TRUE(cluster.CheckReplicaConsistency().ok());
+
+  // A gap that does not start at the receiver's next version is refused,
+  // and the receiver stays where it was.
+  ReplicaNode& node = cluster.node(8);
+  const storage::Version at = node.store().version();
+  node.store().MarkStale(at + 3);
+  auto offer = std::make_shared<PropagationOffer>();
+  offer->source_version = at + 3;
+  offer->transfer_id = 99;
+  auto granted = node.HandleRequest(0, msg::kPropOffer, offer);
+  ASSERT_TRUE(granted.ok());
+  ASSERT_EQ(net::As<PropagationOfferReply>(*granted).verdict,
+            PropagationVerdict::kPermitted);
+  auto data = std::make_shared<PropagationData>();
+  data->transfer_id = 99;
+  data->first_version = at + 2;
+  data->updates = {Update::Partial(0, {1}), Update::Partial(0, {2})};
+  auto refused = node.HandleRequest(0, msg::kPropData, data);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status().ToString();
+  EXPECT_EQ(node.store().version(), at);
+  EXPECT_TRUE(node.store().stale());
+  EXPECT_FALSE(node.store().IsLocked());
 }
 
 TEST(Propagation, DesiredVersionGuardsAgainstStaleSources) {

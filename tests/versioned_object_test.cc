@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "store/codec.h"
+#include "util/random.h"
+
 namespace dcp::storage {
 namespace {
 
@@ -36,7 +41,8 @@ TEST(VersionedObject, PartialUpdateGrowsObject) {
 }
 
 TEST(VersionedObject, UpdatesSinceReturnsGap) {
-  VersionedObject obj;
+  // Large enough that three 1-byte patches stay cheaper than a snapshot.
+  VersionedObject obj(std::vector<uint8_t>(64, 0));
   obj.Apply(Update::Partial(0, {1}));
   obj.Apply(Update::Partial(1, {2}));
   obj.Apply(Update::Partial(2, {3}));
@@ -51,10 +57,11 @@ TEST(VersionedObject, UpdatesSinceReturnsGap) {
 }
 
 TEST(VersionedObject, UpdatesSinceFailsWhenLogTruncated) {
-  VersionedObject obj;
+  // Two 1-byte patches (14 bytes each) cost more than a snapshot of the
+  // 8-byte value (21 bytes), so the bound drops the first.
+  VersionedObject obj(Bytes("abcdefgh"));
   obj.Apply(Update::Partial(0, {1}));
   obj.Apply(Update::Partial(0, {2}));
-  obj.TruncateLog(1);
   EXPECT_FALSE(obj.UpdatesSince(0).ok());
   EXPECT_TRUE(obj.UpdatesSince(1).ok());
   EXPECT_EQ(obj.LogSize(), 1u);
@@ -69,6 +76,89 @@ TEST(VersionedObject, SnapshotInstall) {
   EXPECT_EQ(target.data(), source.data());
   // The target's log is gone; it can only relay via snapshots now.
   EXPECT_FALSE(target.UpdatesSince(0).ok());
+}
+
+TEST(VersionedObject, ChargeIsTheEncodedSize) {
+  for (const Update& u : {Update::Total(Bytes("value")),
+                          Update::Partial(7, Bytes("xy")),
+                          Update::Partial(0, {})}) {
+    store::ByteWriter w;
+    store::Put{w}(u);
+    EXPECT_EQ(u.Charge(), w.size());
+  }
+  VersionedObject obj(Bytes("abc"));
+  store::ByteWriter w;
+  store::Put{w}(obj.Snapshot());
+  EXPECT_EQ(obj.SnapshotCharge(), w.size());
+}
+
+TEST(VersionedObject, TotalUpdateIsNeverLogged) {
+  VersionedObject obj(std::vector<uint8_t>(64, 0));
+  obj.Apply(Update::Partial(0, {1}));
+  obj.Apply(Update::Total(Bytes("new value")));
+  EXPECT_EQ(obj.LogSize(), 0u);
+  EXPECT_EQ(obj.LogCharge(), 0u);
+  EXPECT_FALSE(obj.UpdatesSince(1).ok());
+  obj.Apply(Update::Partial(0, {'N'}));
+  auto gap = obj.UpdatesSince(2);
+  ASSERT_TRUE(gap.ok());
+  EXPECT_EQ(gap->size(), 1u);
+}
+
+TEST(VersionedObject, BoundedLogNeverShipsMoreThanAnUnboundedOne) {
+  // Random mixes of total updates, patches and appends that grow the
+  // value. After every Apply the log costs less than a snapshot; and for
+  // every version a target may hold, what the object ships (the gap if
+  // its log reaches back that far, else a snapshot) costs no more than
+  // the gap an unbounded log would ship, and brings the target to the
+  // same data. Writes start at or before the end: a hole past it would
+  // grow the snapshot by more than the write's charge.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    std::vector<uint8_t> initial(rng.Uniform(64), 0x5a);
+    VersionedObject obj(initial);
+    // The unbounded log, as the contents at each version and the summed
+    // charge of the updates before it.
+    std::vector<std::vector<uint8_t>> contents = {initial};
+    std::vector<uint64_t> charge_before = {0};
+    for (int step = 0; step < 200; ++step) {
+      const uint64_t size = obj.data().size();
+      const uint64_t kind = rng.Uniform(10);
+      std::vector<uint8_t> bytes(1 + rng.Uniform(kind == 0 ? 96 : 24));
+      for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next64());
+      Update u = kind == 0   ? Update::Total(std::move(bytes))
+                 : kind == 1 ? Update::Partial(size, std::move(bytes))
+                             : Update::Partial(rng.Uniform(size + 1),
+                                               std::move(bytes));
+      charge_before.push_back(charge_before.back() + u.Charge());
+      obj.Apply(std::move(u));
+      contents.push_back(obj.data());
+      ASSERT_LT(obj.LogCharge(), obj.SnapshotCharge())
+          << "seed " << seed << " step " << step;
+
+      for (Version from = 0; from <= obj.version(); ++from) {
+        const uint64_t unbounded = charge_before.back() - charge_before[from];
+        VersionedObject target(contents[from]);
+        uint64_t shipped = obj.SnapshotCharge();
+        Result<std::vector<Update>> gap = obj.UpdatesSince(from);
+        if (gap.ok()) {
+          ASSERT_EQ(gap->size(), obj.version() - from);
+          shipped = 0;
+          for (Update& g : *gap) {
+            shipped += g.Charge();
+            target.Apply(std::move(g));
+          }
+          ASSERT_EQ(shipped, unbounded);
+        } else {
+          target.InstallSnapshot(obj.version(), obj.Snapshot());
+        }
+        ASSERT_LE(shipped, unbounded)
+            << "seed " << seed << " step " << step << " from " << from;
+        ASSERT_EQ(target.data(), obj.data())
+            << "seed " << seed << " step " << step << " from " << from;
+      }
+    }
+  }
 }
 
 TEST(VersionedObject, FingerprintDistinguishesVersionAndData) {

@@ -368,6 +368,40 @@ TEST(WalTest, LazyFlushMakesCommitlessRecordsDurable) {
   EXPECT_EQ(fx.wal.durable_end_lsn(), fx.wal.end_lsn());
 }
 
+TEST(WalTest, NextSyncRecordWaitsForAnotherRecordsSync) {
+  // A record appended with Flush::kNextSync (a forgotten 2PC outcome)
+  // issues no sync of its own, not even through a lazy flush an earlier,
+  // already durable record armed: it stays in the tail and becomes
+  // durable with the next committed record.
+  WalOptions options;
+  options.flush_interval = 10.0;
+  WalFixture fx(DropModel(), options);
+  obs::Counter* syncs = fx.sim.metrics().counter("disk.syncs");
+  fx.wal.Append(1, Bytes("duty"));  // Arms the lazy flush...
+  bool committed = false;
+  fx.wal.Commit([&] { committed = true; });
+  fx.sim.RunUntil(5);  // ...and is synced before it fires.
+  ASSERT_TRUE(committed);
+  ASSERT_EQ(syncs->value(), 1u);
+
+  fx.wal.Append(2, Bytes("forget"), Flush::kNextSync);
+  fx.sim.RunUntil(50);
+  EXPECT_EQ(syncs->value(), 1u);
+  EXPECT_LT(fx.wal.durable_end_lsn(), fx.wal.end_lsn());
+
+  fx.wal.Append(3, Bytes("resolve"));
+  committed = false;
+  fx.wal.Commit([&] { committed = true; });
+  fx.sim.RunUntil(100);
+  ASSERT_TRUE(committed);
+  EXPECT_EQ(syncs->value(), 2u);
+  EXPECT_EQ(fx.wal.durable_end_lsn(), fx.wal.end_lsn());
+  auto seen = fx.ScanAll();
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[1].payload, Bytes("forget"));
+  EXPECT_EQ(seen[2].payload, Bytes("resolve"));
+}
+
 // --- DurableStore ---------------------------------------------------------
 //
 // The store holds bytes only: these tests append raw records and check
