@@ -41,7 +41,7 @@ class AcWriteOp : public BaselineOp {
     }
     auto self = Self<AcWriteOp>();
     protocol::LockRound(
-        node_, owner_, mode_, /*object=*/0, /*seniority=*/0, view_,
+        node_, owner_, mode_, /*object=*/0, view_,
         [self](net::GatherResult g) {
           bool refused = protocol::FoldGrants(g, &self->held_);
           // Write-all discipline: EVERY view member must answer, with
@@ -110,7 +110,7 @@ class AcReadOp : public BaselineOp {
     storage::EpochNumber view_id = node_->epoch().number;
     auto self = Self<AcReadOp>();
     protocol::LockRound(
-        node_, owner_, mode_, /*object=*/0, /*seniority=*/0, NodeSet({target}),
+        node_, owner_, mode_, /*object=*/0, NodeSet({target}),
         [self, target, view_id](net::GatherResult g) {
           const net::RpcResult& r = g.replies.at(target);
           if (!r.ok()) {
@@ -179,7 +179,7 @@ class ViewChangeOp : public std::enable_shared_from_this<ViewChangeOp> {
     // avoids paying on the critical path).
     auto self = shared_from_this();
     protocol::LockRound(node_, owner_, LockMode::kShared, /*object=*/0,
-                        /*seniority=*/0, NodeSet({freshest_}),
+                        NodeSet({freshest_}),
                         [self](net::GatherResult g) {
                           if (!g.replies.at(self->freshest_).ok()) {
                             self->done_(Status::Unavailable(

@@ -14,8 +14,7 @@ namespace dcp::baseline {
 /// coordinator rounds: the coordinator, one lock owner, the replica states
 /// its lock rounds were granted, and the caller's callback (a write's
 /// under exclusive locks, a read's under shared ones). The baselines keep
-/// one object and no wound-wait seniority, so their rounds name object 0
-/// and seniority 0.
+/// one object, so their rounds name object 0.
 class BaselineOp : public std::enable_shared_from_this<BaselineOp> {
  protected:
   BaselineOp(protocol::ReplicaNode* node, protocol::LockMode mode,

@@ -56,8 +56,8 @@ class DvOp : public BaselineOp {
     // Dynamic voting polls (and locks) every replica, failures included.
     auto self = Self<DvOp>();
     protocol::LockRound(
-        node_, owner_, mode_, /*object=*/0, /*seniority=*/0,
-        node_->all_nodes(), [self](net::GatherResult g) {
+        node_, owner_, mode_, /*object=*/0, node_->all_nodes(),
+        [self](net::GatherResult g) {
           if (protocol::FoldGrants(g, &self->held_)) {
             self->Fail(Status::Conflict("lock conflict during poll"));
             return;

@@ -38,7 +38,7 @@ class StaticOp : public BaselineOp {
     }
     auto self = Self<StaticOp>();
     protocol::LockRound(
-        node_, owner_, mode_, /*object=*/0, /*seniority=*/0, *quorum,
+        node_, owner_, mode_, /*object=*/0, *quorum,
         [self, write](net::GatherResult g) {
           bool refused = protocol::FoldGrants(g, &self->held_);
           // Static protocol: the chosen quorum must answer in full.

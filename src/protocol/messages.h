@@ -77,10 +77,7 @@ constexpr LockMode EnumMax(LockMode) { return LockMode::kExclusive; }
 // --- lock / unlock / fetch -------------------------------------------------
 
 /// "write-request" / read request: obtain a lock on one object of the
-/// group and report its state. `op_started` is the coordinator's
-/// operation start time; under wound-wait lock policies it is the
-/// seniority that decides conflicts (0 = unknown, treated as starting
-/// at arrival). A read names in `data_from` the one target that returns
+/// group and report its state. A read names in `data_from` the one target that returns
 /// its replica's bytes with the grant; one payload goes to every target,
 /// so the request names the member rather than carrying a flag. A wire
 /// trailer: a request without it encodes as before.
@@ -88,7 +85,6 @@ struct LockRequest : net::Payload {
   LockOwner owner;
   LockMode mode = LockMode::kExclusive;
   ObjectId object = 0;
-  rt::Time op_started = 0;
   std::optional<NodeId> data_from;
 };
 

@@ -254,9 +254,7 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp> {
     sent_locks_ = true;
     auto self = shared_from_this();
     LockRound(
-        node_, owner_, mode_, acqs_[idx].object,
-        started_at_,  // Wound-wait seniority.
-        targets,
+        node_, owner_, mode_, acqs_[idx].object, targets,
         [self, idx, data_from, next = std::move(next)](GatherResult g) mutable {
           Acquisition& acq = self->acqs_[idx];
           if (FoldGrants(g, &acq.held)) acq.saw_conflict = true;
@@ -320,9 +318,9 @@ std::vector<ObjectId> ObjectsOf(const std::vector<TxnWriteSpec>& specs) {
   return objects;
 }
 
-/// Acquires a write quorum per spec (in spec order, under one lock owner,
-/// so the per-node wound-wait arbitration resolves conflicts between
-/// concurrent writers), then commits every update through a single 2PC
+/// Acquires a write quorum per spec (in spec order, under one lock owner;
+/// a conflicting lock is refused, so concurrent writers never wait on
+/// each other), then commits every update through a single 2PC
 /// whose participants are the union of the per-object quorums. A
 /// single-object write is the one-spec case.
 class WriteOp : public QuorumOp {
@@ -808,14 +806,13 @@ uint64_t QuorumSelector(const LockOwner& owner) {
 }
 
 void LockRound(ReplicaNode* node, const LockOwner& owner, LockMode mode,
-               ObjectId object, rt::Time seniority, const NodeSet& targets,
+               ObjectId object, const NodeSet& targets,
                std::function<void(GatherResult)> done,
                std::optional<NodeId> data_from) {
   auto req = std::make_shared<LockRequest>();
   req->owner = owner;
   req->mode = mode;
   req->object = object;
-  req->op_started = seniority;
   req->data_from = data_from;
   net::MulticastGather(&node->rpc(), targets, msg::kLock, std::move(req),
                        std::move(done));

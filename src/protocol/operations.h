@@ -103,8 +103,8 @@ using TxnWriteDone = std::function<void(Result<TxnWriteOutcome>)>;
 
 /// Cross-object transactional write: acquires a write quorum for every
 /// object in `specs` (objects are locked in spec order under ONE lock
-/// owner, so the per-node wound-wait arbitration resolves conflicts
-/// between concurrent transactions), then commits all updates atomically
+/// owner; a conflicting lock is refused, so concurrent transactions
+/// never wait on each other), then commits all updates atomically
 /// through a single 2PC whose participant set is the union of the
 /// per-object quorums. Each object may live on a different replica set —
 /// the coordinator routes by the node's object directory, so it need not
@@ -138,11 +138,10 @@ NodeSet KeysOf(const TupleMap& tuples);
 uint64_t QuorumSelector(const LockOwner& owner);
 
 /// Multicasts `owner`'s request for a `mode` lock on `object` to
-/// `targets`. `seniority` is the operation's start time, which wound-wait
-/// arbitration compares. `done` gets every target's reply; the grant of
+/// `targets`. `done` gets every target's reply; the grant of
 /// `data_from`, if set, also carries that replica's data.
 void LockRound(ReplicaNode* node, const LockOwner& owner, LockMode mode,
-               ObjectId object, rt::Time seniority, const NodeSet& targets,
+               ObjectId object, const NodeSet& targets,
                std::function<void(net::GatherResult)> done,
                std::optional<NodeId> data_from = std::nullopt);
 

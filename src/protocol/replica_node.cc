@@ -395,35 +395,20 @@ bool ReplicaNode::LockIsStaged(const LockOwner& owner) const {
 }
 
 Status ReplicaNode::TryLock(ObjectId object, storage::ReplicaStore& store,
-                            const LockOwner& owner, bool exclusive,
-                            rt::Time op_started) {
+                            const LockOwner& owner, bool exclusive) {
   Status s = store.Lock(owner, exclusive);
   if (!s.ok()) {
     rt::Time now = runtime()->Now();
     // Lease stealing: an expired, non-staged lock belongs to a
     // coordinator that died between its lock round and 2PC; break it.
-    auto expired = [&](const LockOwner& holder) {
-      if (!holder.valid() || LockIsStaged(holder)) return false;
-      auto it = lock_records_.find(KeyOf(holder));
-      return it == lock_records_.end() ||
-             now - it->second.acquired_at >= options_.lock_lease;
-    };
-    // Wound-wait: an older operation wounds younger, non-staged holders
-    // (a holder whose start time is unknown counts as old).
-    auto woundable = [&](const LockOwner& holder) {
-      if (options_.lock_policy != LockPolicy::kWoundWait) return false;
-      if (op_started <= 0) return false;
-      if (!holder.valid() || LockIsStaged(holder)) return false;
-      auto it = lock_records_.find(KeyOf(holder));
-      if (it == lock_records_.end() || it->second.op_started <= 0) {
-        return false;
-      }
-      return op_started < it->second.op_started;
-    };
     std::vector<LockOwner> evict;
     auto consider = [&](const LockOwner& holder) {
-      if (!holder.valid()) return;
-      if (expired(holder) || woundable(holder)) evict.push_back(holder);
+      if (!holder.valid() || LockIsStaged(holder)) return;
+      auto it = lock_records_.find(KeyOf(holder));
+      if (it == lock_records_.end() ||
+          now - it->second.acquired_at >= options_.lock_lease) {
+        evict.push_back(holder);
+      }
     };
     consider(store.exclusive_owner());
     for (const LockOwner& holder : store.shared_owners()) consider(holder);
@@ -436,7 +421,6 @@ Status ReplicaNode::TryLock(ObjectId object, storage::ReplicaStore& store,
   if (s.ok()) {
     OwnerLocks& record = lock_records_[KeyOf(owner)];
     record.acquired_at = runtime()->Now();
-    if (op_started > 0) record.op_started = op_started;
     if (std::find(record.objects.begin(), record.objects.end(), object) ==
         record.objects.end()) {
       record.objects.push_back(object);
@@ -542,7 +526,7 @@ Result<PayloadPtr> ReplicaNode::HandleLock(NodeId /*from*/,
   auto it = objects_.find(req.object);
   if (it == objects_.end()) return Status::NotFound("no such object");
   Status s = TryLock(req.object, it->second, req.owner,
-                     req.mode == LockMode::kExclusive, req.op_started);
+                     req.mode == LockMode::kExclusive);
   if (!s.ok()) return s;
   auto resp = std::make_shared<LockResponse>();
   resp->state = StateTuple(it->second);
@@ -602,8 +586,8 @@ Result<PayloadPtr> ReplicaNode::HandlePrepare(const PrepareRequest& req) {
   }
   // Writes already hold their exclusive lock from the lock round (lock
   // is re-entrant); epoch changes acquire theirs here. A write that no
-  // longer holds one (stolen after its lease, wounded, or lost in a
-  // crash) computed its action from a state another write may have moved
+  // longer holds one (stolen after its lease, or lost in a crash)
+  // computed its action from a state another write may have moved
   // since, so it is refused. On any conflict, release what this attempt
   // acquired and refuse.
   std::vector<ObjectId> newly_locked;

@@ -18,25 +18,8 @@
 
 namespace dcp::protocol {
 
-/// How lock conflicts are resolved (the paper defers deadlock handling
-/// to Bernstein/Hadzilacos/Goodman [2]; both policies below are from
-/// there and both are deadlock-free).
-enum class LockPolicy {
-  /// Refuse the lock; the coordinator aborts and retries with backoff.
-  kRefuse,
-  /// Wound-wait: an *older* operation (earlier start time) forcibly
-  /// wounds a younger non-staged holder and takes the lock; a younger
-  /// requester is refused (it "waits" by retrying). Older operations
-  /// never retry behind younger ones, so heavy contention cannot starve
-  /// them.
-  kWoundWait,
-};
-
 /// Tuning knobs for a replica node.
 struct ReplicaNodeOptions {
-  /// Lock-conflict resolution policy.
-  LockPolicy lock_policy = LockPolicy::kRefuse;
-
   /// How long a *non-staged* lock may be held before a conflicting
   /// operation is allowed to steal it. Guards against coordinators that
   /// died between the lock round and 2PC prepare. Staged (prepared)
@@ -267,7 +250,6 @@ class ReplicaNode : public net::RpcService {
   /// O(objects hosted).
   struct OwnerLocks {
     rt::Time acquired_at = 0;  ///< Last grant; starts the lock lease.
-    rt::Time op_started = 0;   ///< Wound-wait priority; 0 = unknown.
     std::vector<ObjectId> objects;
   };
 
@@ -312,13 +294,10 @@ class ReplicaNode : public net::RpcService {
                                          const PropagationData& req);
 
   /// Lock one object (`store` is its replica) with lease-stealing of
-  /// expired, non-staged locks. Under LockPolicy::kWoundWait,
-  /// `op_started` (when > 0) lets an older requester wound younger
-  /// non-staged holders.
+  /// expired, non-staged locks. Any other conflict refuses the lock.
   [[nodiscard]]
   Status TryLock(ObjectId object, storage::ReplicaStore& store,
-                 const LockOwner& owner, bool exclusive,
-                 rt::Time op_started = 0);
+                 const LockOwner& owner, bool exclusive);
   bool LockIsStaged(const LockOwner& owner) const;
   /// Releases `owner`'s lock on one object and drops the object from the
   /// owner's record (and the record itself once it lists nothing).

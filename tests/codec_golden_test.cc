@@ -146,7 +146,6 @@ std::vector<std::pair<std::string, net::Message>> WireMessages() {
   lock->owner = {3, 41};
   lock->mode = LockMode::kExclusive;
   lock->object = 7;
-  lock->op_started = 123.456;
   add("lock_request", Request(msg::kLock, lock));
 
   auto shared = std::make_shared<LockRequest>(*lock);
@@ -367,8 +366,8 @@ std::vector<std::pair<std::string, std::vector<uint8_t>>> AllEncodings() {
 }
 
 constexpr Golden kGolden[] = {
-    {"wire_lock_request", 60, 0x4299ecda3811ada3ull},
-    {"wire_lock_request_shared", 60, 0xe20970b781de0724ull},
+    {"wire_lock_request", 52, 0xb5c2254e7c29b4d1ull},
+    {"wire_lock_request_shared", 52, 0x23bc0cc57927cdeull},
     {"wire_lock_response", 86, 0x852fab02a2d17278ull},
     {"wire_unlock_request", 49, 0xd098c9ef21fa5ddcull},
     {"wire_ack_response", 43, 0x20a39459f4288e4bull},
@@ -389,7 +388,7 @@ constexpr Golden kGolden[] = {
     {"wire_prop_data_reply", 54, 0xbc1c348d87c6db79ull},
     {"wire_error_no_payload", 58, 0xb57f8eb8bfbd8e14ull},
     {"wire_call_failed", 59, 0x3307ae956bd7d5bfull},
-    {"wire_lock_request_data_from", 65, 0xfb5b5aaf1466230bull},
+    {"wire_lock_request_data_from", 57, 0xf72b41ea9854adf9ull},
     {"wire_lock_response_data", 94, 0x9a05eac0cd1ee4d1ull},
     {"wire_commit_request_forget", 73, 0xf5373ec62795357eull},
     {"wire_abort_request_forget", 64, 0x273318e0b6286898ull},

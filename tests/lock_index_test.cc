@@ -22,7 +22,7 @@ using storage::Version;
 
 constexpr NodeId kNode = 0;
 
-ClusterOptions Options(LockPolicy policy = LockPolicy::kRefuse) {
+ClusterOptions Options() {
   ClusterOptions opts;
   opts.num_nodes = 7;
   opts.num_objects = 1024;
@@ -31,7 +31,6 @@ ClusterOptions Options(LockPolicy policy = LockPolicy::kRefuse) {
   opts.coterie = CoterieKind::kMajority;
   opts.seed = 5;
   opts.initial_value = {0, 0, 0, 0};
-  opts.node_options.lock_policy = policy;
   return opts;
 }
 
@@ -59,8 +58,8 @@ StagedAction MarkStaleAction(ObjectId object, Version desired) {
 /// Drives node kNode of a sharded cluster through raw requests.
 class LockIndexTest : public ::testing::Test {
  protected:
-  void Build(LockPolicy policy = LockPolicy::kRefuse) {
-    cluster_ = std::make_unique<Cluster>(Options(policy));
+  void Build() {
+    cluster_ = std::make_unique<Cluster>(Options());
     hosted_ = node().HostedObjects();
     ASSERT_GT(hosted_.size(), 100u);
   }
@@ -68,12 +67,11 @@ class LockIndexTest : public ::testing::Test {
   ReplicaNode& node() { return cluster_->node(kNode); }
 
   Status Lock(const LockOwner& owner, ObjectId object,
-              bool exclusive = true, rt::Time op_started = 0) {
+              bool exclusive = true) {
     auto req = std::make_shared<LockRequest>();
     req->owner = owner;
     req->object = object;
     req->mode = exclusive ? LockMode::kExclusive : LockMode::kShared;
-    req->op_started = op_started;
     return node().HandleRequest(owner.coordinator, msg::kLock, req).status();
   }
   Status Unlock(const LockOwner& owner) {
@@ -211,35 +209,21 @@ TEST_F(LockIndexTest, RejectedPrepareRollsBack) {
   ExpectReleased(tx);
 }
 
-TEST_F(LockIndexTest, WoundEvictionDropsVictimRecord) {
-  Build(LockPolicy::kWoundWait);
-  cluster_->RunFor(100);
-  LockOwner young{1, 10};
-  LockOwner old{2, 20};
-  ASSERT_TRUE(Lock(young, hosted_[2], true, /*op_started=*/95).ok());
-  ASSERT_TRUE(Lock(old, hosted_[2], true, /*op_started=*/90).ok());
-  EXPECT_TRUE(HeldBy(young).empty());
-  EXPECT_EQ(node().lock_record_count(), 1u);  // Only the wounder's.
-  EXPECT_TRUE(node().LockIndexConsistent());
-  ASSERT_TRUE(Unlock(old).ok());
-  ExpectReleased(old);
-}
-
-TEST_F(LockIndexTest, WoundOnOneObjectKeepsVictimsOtherLocks) {
-  Build(LockPolicy::kWoundWait);
-  cluster_->RunFor(100);
-  LockOwner young{1, 10};
-  LockOwner old{2, 20};
-  ASSERT_TRUE(Lock(young, hosted_[2], true, 95).ok());
-  ASSERT_TRUE(Lock(young, hosted_[6], true, 95).ok());
-  ASSERT_TRUE(Lock(old, hosted_[2], true, 90).ok());
-  EXPECT_EQ(HeldBy(young), std::set<ObjectId>{hosted_[6]});
+TEST_F(LockIndexTest, LeaseStealOnOneObjectKeepsVictimsOtherLocks) {
+  Build();
+  LockOwner victim{1, 10};
+  LockOwner thief{2, 20};
+  ASSERT_TRUE(Lock(victim, hosted_[2]).ok());
+  ASSERT_TRUE(Lock(victim, hosted_[6]).ok());
+  cluster_->RunFor(node().options().lock_lease + 1);
+  ASSERT_TRUE(Lock(thief, hosted_[2]).ok());
+  EXPECT_EQ(HeldBy(victim), std::set<ObjectId>{hosted_[6]});
   EXPECT_EQ(node().lock_record_count(), 2u);
   EXPECT_TRUE(node().LockIndexConsistent());
-  ASSERT_TRUE(Unlock(young).ok());
-  ASSERT_TRUE(Unlock(old).ok());
-  ExpectReleased(young);
-  ExpectReleased(old);
+  ASSERT_TRUE(Unlock(victim).ok());
+  ASSERT_TRUE(Unlock(thief).ok());
+  ExpectReleased(victim);
+  ExpectReleased(thief);
 }
 
 // Regression: holders evicted by lease stealing never send an unlock

@@ -1,6 +1,8 @@
-// Lock-conflict policies (the paper defers deadlock handling to [2]):
-// refuse-and-retry (default) vs wound-wait. Both are deadlock-free;
-// wound-wait additionally guarantees the oldest operation never starves.
+// The one lock-conflict rule (the paper defers deadlock handling to [2]):
+// a conflicting lock request is refused, and the coordinator aborts and
+// retries. The only exception is lease stealing: a non-staged lock whose
+// lease has run out belongs to a coordinator presumed dead and may be
+// taken. A staged (prepared) lock is never taken.
 
 #include <gtest/gtest.h>
 
@@ -9,76 +11,58 @@
 namespace dcp::protocol {
 namespace {
 
-ClusterOptions Options(LockPolicy policy) {
+ClusterOptions Options() {
   ClusterOptions opts;
   opts.num_nodes = 9;
   opts.coterie = CoterieKind::kGrid;
   opts.seed = 71;
   opts.initial_value = {0};
-  opts.node_options.lock_policy = policy;
   opts.latency = net::LatencyModel{1.0, 0.0};
   return opts;
 }
 
-TEST(WoundWait, OlderOperationWoundsYoungerHolder) {
-  Cluster cluster(Options(LockPolicy::kWoundWait));
-  // The YOUNGER operation grabs locks first; then an OLDER one (earlier
-  // start time) arrives and must wound it. Simulate by sending raw lock
-  // requests with explicit seniority.
-  auto lock = [&](NodeId node, storage::LockOwner owner,
-                  sim::Time started) {
-    auto req = std::make_shared<LockRequest>();
-    req->owner = owner;
-    req->mode = LockMode::kExclusive;
-    req->op_started = started;
-    return cluster.node(node).HandleRequest(owner.coordinator, msg::kLock,
-                                            req);
-  };
-  cluster.RunFor(100);  // Now = 100.
-  storage::LockOwner young{1, 10};
-  storage::LockOwner old{2, 11};
-  ASSERT_TRUE(lock(5, young, 90).ok());   // Young op (started later)...
-  // ...wait: started 90 < 95? Seniority = smaller start time. Make the
-  // "young" one start at 95 and the "old" one at 90.
-  cluster.node(5).store().Unlock(young);
-  ASSERT_TRUE(lock(5, young, 95).ok());
-  // Older operation (started 90) wounds the younger holder.
-  EXPECT_TRUE(lock(5, old, 90).ok());
-  EXPECT_TRUE(cluster.node(5).store().HoldsLock(old));
-  EXPECT_FALSE(cluster.node(5).store().HoldsLock(young));
+Result<net::PayloadPtr> Lock(Cluster& cluster, NodeId node,
+                             storage::LockOwner owner) {
+  auto req = std::make_shared<LockRequest>();
+  req->owner = owner;
+  req->mode = LockMode::kExclusive;
+  return cluster.node(node).HandleRequest(owner.coordinator, msg::kLock, req);
 }
 
-TEST(WoundWait, YoungerRequesterIsRefused) {
-  Cluster cluster(Options(LockPolicy::kWoundWait));
+TEST(RefusePolicy, NonStagedLockIsRefusedUntilItsLeaseRunsOut) {
+  Cluster cluster(Options());
   cluster.RunFor(100);
-  auto lock = [&](NodeId node, storage::LockOwner owner,
-                  sim::Time started) {
-    auto req = std::make_shared<LockRequest>();
-    req->owner = owner;
-    req->mode = LockMode::kExclusive;
-    req->op_started = started;
-    return cluster.node(node).HandleRequest(owner.coordinator, msg::kLock,
-                                            req);
-  };
-  storage::LockOwner old{1, 10};
-  storage::LockOwner young{2, 11};
-  ASSERT_TRUE(lock(5, old, 90).ok());
-  auto refused = lock(5, young, 95);
-  EXPECT_FALSE(refused.ok());
-  EXPECT_TRUE(refused.status().IsConflict());
-  EXPECT_TRUE(cluster.node(5).store().HoldsLock(old));
+  const rt::Time lease = cluster.node(5).options().lock_lease;
+  storage::LockOwner holder{1, 10};
+  ASSERT_TRUE(Lock(cluster, 5, holder).ok());
+  // Every other owner is refused while the lease runs, whichever
+  // coordinator it comes from and however often it asks.
+  for (NodeId coordinator : {0, 2, 3, 8}) {
+    auto refused = Lock(cluster, 5, storage::LockOwner{coordinator, 11});
+    EXPECT_TRUE(refused.status().IsConflict()) << "coordinator "
+                                               << coordinator;
+    EXPECT_TRUE(cluster.node(5).store().HoldsLock(holder));
+  }
+  cluster.RunFor(lease - 1);
+  EXPECT_TRUE(Lock(cluster, 5, storage::LockOwner{2, 12}).status()
+                  .IsConflict());
+  EXPECT_TRUE(cluster.node(5).store().HoldsLock(holder));
+
+  // Once the lease has run out, the next request steals the lock.
+  cluster.RunFor(2);
+  storage::LockOwner thief{2, 13};
+  EXPECT_TRUE(Lock(cluster, 5, thief).ok());
+  EXPECT_TRUE(cluster.node(5).store().HoldsLock(thief));
+  EXPECT_FALSE(cluster.node(5).store().HoldsLock(holder));
+  EXPECT_TRUE(cluster.node(5).LockIndexConsistent());
 }
 
-TEST(WoundWait, StagedHoldersAreNeverWounded) {
-  Cluster cluster(Options(LockPolicy::kWoundWait));
+TEST(RefusePolicy, StagedLockIsNeverStolen) {
+  Cluster cluster(Options());
   cluster.RunFor(100);
   // Stage a transaction at node 5 (prepared = committing; untouchable).
   storage::LockOwner committing{1, 10};
-  auto lock_req = std::make_shared<LockRequest>();
-  lock_req->owner = committing;
-  lock_req->mode = LockMode::kExclusive;
-  lock_req->op_started = 95;
-  ASSERT_TRUE(cluster.node(5).HandleRequest(1, msg::kLock, lock_req).ok());
+  ASSERT_TRUE(Lock(cluster, 5, committing).ok());
   auto prepare = std::make_shared<PrepareRequest>();
   prepare->owner = committing;
   ObjectAction act;
@@ -88,20 +72,21 @@ TEST(WoundWait, StagedHoldersAreNeverWounded) {
   prepare->participants = NodeSet({5});
   ASSERT_TRUE(cluster.node(5).HandleRequest(1, msg::kPrepare, prepare).ok());
 
-  // An older operation cannot wound it.
-  auto older = std::make_shared<LockRequest>();
-  older->owner = storage::LockOwner{2, 11};
-  older->mode = LockMode::kExclusive;
-  older->op_started = 50;
-  auto refused = cluster.node(5).HandleRequest(2, msg::kLock, older);
-  EXPECT_FALSE(refused.ok());
+  // The coordinator dies, so the transaction stays in doubt: long after
+  // its lease, the staged lock still refuses every request.
+  cluster.Crash(1);
+  const rt::Time lease = cluster.node(5).options().lock_lease;
+  cluster.RunFor(3 * lease);
+  auto refused = Lock(cluster, 5, storage::LockOwner{2, 11});
+  EXPECT_TRUE(refused.status().IsConflict());
   EXPECT_TRUE(cluster.node(5).store().HoldsLock(committing));
+  EXPECT_EQ(cluster.metrics().counter("node.5.lock_steals")->value(), 0u);
 }
 
-TEST(WoundWait, EndToEndContentionStillSerializable) {
-  // Many concurrent writers under wound-wait: everything must stay 1SR
-  // and the replicas consistent.
-  Cluster cluster(Options(LockPolicy::kWoundWait));
+TEST(RefusePolicy, EndToEndContentionStillSerializable) {
+  // Many concurrent writers on one object: everything must stay 1SR and
+  // the replicas consistent.
+  Cluster cluster(Options());
   int done = 0, committed = 0;
   for (int i = 0; i < 20; ++i) {
     cluster.simulator().Schedule(i * 2.0, [&cluster, &done, &committed, i] {
@@ -119,53 +104,6 @@ TEST(WoundWait, EndToEndContentionStillSerializable) {
   EXPECT_TRUE(cluster.Quiescent());
   EXPECT_TRUE(cluster.CheckHistory().ok()) << cluster.CheckHistory().ToString();
   EXPECT_TRUE(cluster.CheckReplicaConsistency().ok());
-}
-
-TEST(WoundWait, WoundedWriterRetriesAndSucceeds) {
-  // A wounded coordinator's 2PC prepare fails (its lock is gone); the
-  // retry machinery must recover, end-to-end.
-  Cluster cluster(Options(LockPolicy::kWoundWait));
-  int committed = 0;
-  int done = 0;
-  // Two writes racing on overlapping quorums, staggered so the second
-  // (younger) acquires some locks before the older one's requests land.
-  for (NodeId coord : {0, 4}) {
-    cluster.simulator().Schedule(coord == 0 ? 0.0 : 0.1,
-                                 [&cluster, &done, &committed, coord] {
-      cluster.Write(coord, Update::Partial(0, {uint8_t(coord)}),
-                    [&](Result<WriteOutcome> r) {
-                      ++done;
-                      if (r.ok()) ++committed;
-                    });
-    });
-  }
-  while (done < 2 && cluster.simulator().Step()) {
-  }
-  EXPECT_GE(committed, 1);
-  // Whoever failed can retry and succeed now.
-  auto w = cluster.WriteSyncRetry(7, Update::Partial(0, {99}));
-  EXPECT_TRUE(w.ok());
-  EXPECT_TRUE(cluster.CheckHistory().ok());
-}
-
-TEST(RefusePolicy, IgnoresSeniority) {
-  Cluster cluster(Options(LockPolicy::kRefuse));
-  cluster.RunFor(100);
-  auto lock = [&](NodeId node, storage::LockOwner owner,
-                  sim::Time started) {
-    auto req = std::make_shared<LockRequest>();
-    req->owner = owner;
-    req->mode = LockMode::kExclusive;
-    req->op_started = started;
-    return cluster.node(node).HandleRequest(owner.coordinator, msg::kLock,
-                                            req);
-  };
-  storage::LockOwner young{1, 10};
-  ASSERT_TRUE(lock(5, young, 95).ok());
-  // Even a much older requester is refused under kRefuse.
-  auto refused = lock(5, storage::LockOwner{2, 11}, 1);
-  EXPECT_FALSE(refused.ok());
-  EXPECT_TRUE(cluster.node(5).store().HoldsLock(young));
 }
 
 }  // namespace

@@ -59,14 +59,12 @@ TEST(WireCodecTest, LockRequestRoundTrips) {
   p->owner = {3, 41};
   p->mode = LockMode::kShared;
   p->object = 7;
-  p->op_started = 123.456;
   net::Message out = RoundTrip(Request(msg::kLock, p));
   const auto& q = net::As<LockRequest>(out.payload);
   EXPECT_EQ(q.owner.coordinator, 3u);
   EXPECT_EQ(q.owner.operation_id, 41u);
   EXPECT_EQ(q.mode, LockMode::kShared);
   EXPECT_EQ(q.object, 7u);
-  EXPECT_DOUBLE_EQ(q.op_started, 123.456);
   EXPECT_FALSE(q.data_from.has_value());
 
   p->data_from = 5;
@@ -320,11 +318,11 @@ TEST(WireCodecTest, RejectsMalformedInput) {
   EXPECT_FALSE(DecodeMessage(nullptr, 0, &out));
 
   // An enum byte above the enum's largest value: a lock mode of 2. The
-  // mode is the byte before the object id (4) and op_started (8).
+  // mode is the byte before the object id (4).
   std::vector<uint8_t> bad_mode = wire;
-  bad_mode[bad_mode.size() - 13] = 2;
+  bad_mode[bad_mode.size() - 5] = 2;
   EXPECT_FALSE(DecodeMessage(bad_mode.data(), bad_mode.size(), &out));
-  bad_mode[bad_mode.size() - 13] = 0;
+  bad_mode[bad_mode.size() - 5] = 0;
   ASSERT_TRUE(DecodeMessage(bad_mode.data(), bad_mode.size(), &out));
   EXPECT_EQ(net::As<LockRequest>(out.payload).mode, LockMode::kShared);
 
