@@ -74,6 +74,7 @@ void RpcRuntime::AbortAll() {
   // recovered node has genuinely forgotten what it answered.
   reply_cache_.Clear();
   reply_cache_order_.clear();
+  in_flight_.Clear();
 }
 
 void RpcRuntime::RememberReply(uint64_t key, const Message& reply) {
@@ -137,6 +138,13 @@ void RpcRuntime::Deliver(Message msg) {
         transport_->Send(std::move(reply));
         break;
       }
+      if (in_flight_.Find(dedup_key) != nullptr) {
+        // A duplicate of a request whose reply is still pending: that
+        // reply answers the caller, and the handler must not run twice.
+        dup_requests_->Increment();
+        break;
+      }
+      in_flight_.Insert(dedup_key, true);
       const NodeId src = msg.src;
       const uint64_t rpc_id = msg.rpc_id;
       const TypeName reply_type = msg.type.Reply();
@@ -148,6 +156,7 @@ void RpcRuntime::Deliver(Message msg) {
             // Crashed (or crashed-and-recovered) between delivery and
             // completion: the pre-crash handler's answer is void.
             if (inc != incarnation_ || !transport_->IsUp(self_)) return;
+            in_flight_.Erase(dedup_key);
             Message reply;
             reply.src = self_;
             reply.dst = src;

@@ -163,6 +163,11 @@ class RpcRuntime : public MessageSink {
   static constexpr size_t kReplyCacheCapacity = 1024;
   FlatMap<CachedReply> reply_cache_;
   std::deque<uint64_t> reply_cache_order_;
+  /// (src, rpc_id) of each request whose handler has run but whose reply
+  /// is not yet sent (a durable node acks a prepare only once it is
+  /// synced). A duplicate of one is dropped: the reply on its way answers
+  /// the caller. Cleared on crash, like the reply cache.
+  FlatMap<bool> in_flight_;
 
   // Registry handles ("rpc.*"), resolved against this node's runtime. On
   // the sim backend all nodes share the simulator's registry, so these

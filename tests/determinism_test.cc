@@ -403,7 +403,7 @@ uint64_t RunDurableOnce(uint64_t seed) {
 }
 
 TEST(Determinism, DurableFingerprintIsPinned) {
-  EXPECT_EQ(RunDurableOnce(4242), 0xfe1f322e665b17beull);
+  EXPECT_EQ(RunDurableOnce(4242), 0xc5468d8b79dce358ull);
 }
 
 // --- sharded determinism ---------------------------------------------------

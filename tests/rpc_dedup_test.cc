@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "net/network.h"
 #include "net/rpc.h"
@@ -46,6 +47,27 @@ class CountingService : public RpcService {
     return PayloadPtr{};
   }
   int handled = 0;
+};
+
+/// Defers every reply until the test releases it, as a durable node
+/// holds a prepare's ack until its log record is synced.
+class DeferringService : public RpcService {
+ public:
+  Result<PayloadPtr> HandleRequest(NodeId, const std::string&,
+                                   const PayloadPtr&) override {
+    return PayloadPtr{};
+  }
+  void HandleRequestAsync(NodeId, const std::string&, const PayloadPtr&,
+                          Responder respond) override {
+    ++handled;
+    pending.push_back(std::move(respond));
+  }
+  void ReleaseAll() {
+    for (Responder& respond : pending) respond(PayloadPtr{});
+    pending.clear();
+  }
+  int handled = 0;
+  std::vector<Responder> pending;
 };
 
 Message DupRequest(uint64_t rpc_id, TypeName type) {
@@ -88,6 +110,44 @@ TEST(RpcDedup, DuplicateRequestDoesNotReexecuteHandler) {
   EXPECT_EQ(svc.handled, 1);
   EXPECT_TRUE(result.ok()) << result.app.ToString();
   EXPECT_EQ(sim.metrics().counter("rpc.dup_requests")->value(), 1u);
+}
+
+TEST(RpcDedup, DuplicateOfADeferredRequestIsDropped) {
+  sim::Simulator sim;
+  // Every hop takes exactly 1.0. The request arrives at t=1 and its
+  // handler defers the reply; the duplicate (injected at t=0.5) arrives
+  // at t=1.5, while that reply is still pending; the reply is released
+  // at t=2 and reaches the caller at t=3.
+  Network network(&sim, Rng(7), LatencyModel{1.0, 0.0});
+  DeferringService svc;
+  RpcRuntime caller(&network, 0);
+  RpcRuntime server(&network, 1);
+  server.set_service(&svc);
+
+  bool done = false;
+  RpcResult result;
+  caller.Call(1, "prepare", nullptr, [&](RpcResult r) {
+    done = true;
+    result = std::move(r);
+  });
+  sim.Schedule(0.5, [&] { network.Send(DupRequest(1, "prepare")); });
+  sim.Schedule(2.0, [&] { svc.ReleaseAll(); });
+  sim.RunUntil(50.0);
+
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(result.ok()) << result.app.ToString();
+  // Without an in-flight record the duplicate runs the handler again
+  // (handled == 2): a durable node would stage a prepare twice.
+  EXPECT_EQ(svc.handled, 1);
+  obs::Counter* dups = sim.metrics().counter("rpc.dup_requests");
+  EXPECT_EQ(dups->value(), 1u);
+
+  // Once the reply is sent, a later duplicate is answered from the cache.
+  network.Send(DupRequest(1, "prepare"));
+  sim.RunUntil(60.0);
+  EXPECT_EQ(svc.handled, 1);
+  EXPECT_TRUE(svc.pending.empty());
+  EXPECT_EQ(dups->value(), 2u);
 }
 
 TEST(RpcDedup, CrashClearsReplyCache) {
