@@ -13,7 +13,8 @@ namespace dcp::harness {
 
 struct SocketClusterOptions {
   uint32_t num_nodes = 5;
-  /// Data items in the replica group (all share one epoch).
+  /// Data items, ids [0, num_objects). Unless `sharded`, every node hosts
+  /// all of them and they share one epoch.
   uint32_t num_objects = 1;
   /// Sharded deployment: place each object onto a `replication_factor`
   /// subset of the pool (protocol::ObjectTable, seeded by `placement_seed`)
